@@ -6,7 +6,10 @@ of utility vectors that reproduces every entailed comparison through expected
 payoffs.  All arithmetic is exact rational: verdicts come with certificates
 that recombine or separate, never with tolerances.
 """
+from types import ModuleType as _ModuleType
+
 from .cones import (
+    CertificateError,
     DimensionMismatchError,
     EmptyUtilitySetError,
     MembershipCertificate,
@@ -69,4 +72,4 @@ from .preferences import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

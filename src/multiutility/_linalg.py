@@ -13,18 +13,6 @@ Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
-def vec_add(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: Sequence) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vec_neg(a: Sequence) -> Vector:
     return tuple(-x for x in a)
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .cones import verify_membership
+from .cones import CertificateError, verify_membership
 from .counterexample import anchor_membership, build_truncation, lab_table
 from .jsonio import (
     SchemaError,
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", action="append", default=[], metavar="PATH", help=inputs)
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
         p.add_argument("--pin", metavar="LABEL", help="outcome pinned to payoff zero (default: first outcome)")
-        p.add_argument("--seed", type=int, default=0, help="reserved for sampling verbs; accepted everywhere")
         p.add_argument("--verify", action="store_true", help="recheck all emitted certificates arithmetically")
 
     p = sub.add_parser("represent", help="extract the utility set of a dataset")
@@ -254,6 +253,9 @@ def main(argv=None) -> int:
         return 1
     except VerificationError as exc:
         _emit_error("verify", str(exc))
+        return 1
+    except CertificateError as exc:
+        _emit_error("internal", str(exc))
         return 1
     except ValueError as exc:
         _emit_error("validation", str(exc))

@@ -28,7 +28,7 @@ from ._linalg import (
     rref_basis,
     vec_neg,
 )
-from .linprog import INFEASIBLE, OPTIMAL, ExactLP
+from .linprog import INFEASIBLE, OPTIMAL, CertificateError, ExactLP, LPResult
 from .measures import SpaceMismatchError, Utility, as_fraction
 
 IN = "IN"
@@ -65,9 +65,9 @@ class PolyhedralCone:
 
     ``rays`` span the pointed part, ``lineality`` the largest linear subspace
     contained in the cone (canonical reduced-echelon basis).  An inequality
-    representation, when present, is a tuple of integer rows h with the cone
-    equal to the set of x satisfying <h, x> >= 0 for every row.  Instances
-    are immutable after construction except for lazily caching inequalities.
+    representation, when given at construction, is a tuple of integer rows h
+    with the cone equal to the set of x satisfying <h, x> >= 0 for every row.
+    Instances are immutable, so every verdict depends only on the cone's value.
     """
 
     __slots__ = ("dim", "rays", "lineality", "_inequalities")
@@ -99,9 +99,6 @@ class PolyhedralCone:
     def directed_generators(self) -> tuple[IntVector, ...]:
         """Rays, then lineality vectors, then negated lineality vectors."""
         return self.rays + self.lineality + tuple(vec_neg(l) for l in self.lineality)
-
-    def inequalities(self) -> tuple[IntVector, ...] | None:
-        return self._inequalities
 
     def is_zero_cone(self) -> bool:
         return not self.rays and not self.lineality
@@ -182,38 +179,33 @@ def cone_from_generators(
     if not canonicalize:
         return PolyhedralCone(inferred, sorted(prims), ())
 
-    two_sided = {g for g in prims if _in_hull(vec_neg(g), prims, inferred)}
-    lineality = rref_basis(sorted(two_sided))
-    lin_rref = rref(lineality) if lineality else []
-    reduced: list[IntVector] = []
-    seen_r: set[IntVector] = set()
-    for g in prims:
-        if g in two_sided:
-            continue
-        r = primitive(reduce_mod_rowspace(g, lin_rref)) if lin_rref else g
-        if not is_zero(r) and r not in seen_r:
-            seen_r.add(r)
-            reduced.append(r)
-    rays = _drop_redundant(sorted(reduced), lineality, inferred)
-    return PolyhedralCone(inferred, rays, lineality)
+    two_sided = {g for g in prims if _in_hull(vec_neg(g), prims)}
+    # two-sided generators lie in the lineality, so reducing them leaves zero and drops them
+    lineality, reduced = _canonical_vrep(sorted(two_sided), prims)
+    return PolyhedralCone(inferred, _drop_redundant(reduced, lineality), lineality)
 
 
-def _in_hull(x: Sequence, gens: Sequence[IntVector], dim: int, lineality: Sequence[IntVector] = ()) -> bool:
+def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVector]) -> LPResult:
+    """Feasibility LP for x in cone(gens) + span(lineality); needs at least one column."""
     cols = list(gens) + list(lineality)
-    if not cols:
-        return all(v == 0 for v in x)
     lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
-    for i in range(dim):
+    for i in range(len(x)):
         lp.add([c[i] for c in cols], "==", x[i])
-    return lp.feasibility().status == OPTIMAL
+    return lp.feasibility()
 
 
-def _drop_redundant(rays: list[IntVector], lineality: Sequence[IntVector], dim: int) -> list[IntVector]:
+def _in_hull(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVector] = ()) -> bool:
+    if not gens and not lineality:
+        return is_zero(x)
+    return _hull_lp(x, gens, lineality).status == OPTIMAL
+
+
+def _drop_redundant(rays: Sequence[IntVector], lineality: Sequence[IntVector]) -> list[IntVector]:
     kept = list(rays)
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1 :]
-        if _in_hull(kept[i], others, dim, lineality):
+        if _in_hull(kept[i], others, lineality):
             del kept[i]
         else:
             i += 1
@@ -292,7 +284,8 @@ def _dedupe(vectors: Iterable[IntVector]) -> list[IntVector]:
     return out
 
 
-def _canonical_vrep(dim: int, lineality: Sequence[IntVector], rays: Sequence[IntVector]):
+def _canonical_vrep(lineality: Sequence[IntVector], rays: Sequence[IntVector]):
+    """RREF lineality basis, and the rays reduced modulo it, primitive, deduplicated and sorted."""
     lin = rref_basis(lineality)
     lin_rref = rref(lin) if lin else []
     out_rays = []
@@ -309,24 +302,20 @@ def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone
     """Cone of all x with <row, x> >= 0 for every row, converted to rays."""
     int_rows = [primitive(_coerce_vector(r, dim)) for r in rows]
     lin, rays = _double_description(dim, int_rows)
-    lin_c, rays_c = _canonical_vrep(dim, lin, rays)
+    lin_c, rays_c = _canonical_vrep(lin, rays)
     return PolyhedralCone(dim, rays_c, lin_c, inequalities=tuple(int_rows))
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """All y pairing nonnegatively with the cone; computed by double description.
 
-    The primal's directed generators become the dual's inequality rows, and
-    the primal's own inequality cache is filled from the dual's generators
-    (the two cones cut each other out, so each is the other's row set).
+    The primal's directed generators become the dual's inequality rows; the
+    argument is left unchanged.
     """
     rows = list(cone.directed_generators)
     lin, rays = _double_description(cone.dim, rows)
-    lin_c, rays_c = _canonical_vrep(cone.dim, lin, rays)
-    dual = PolyhedralCone(cone.dim, rays_c, lin_c, inequalities=tuple(rows))
-    if cone._inequalities is None:
-        cone._inequalities = dual.directed_generators
-    return dual
+    lin_c, rays_c = _canonical_vrep(lin, rays)
+    return PolyhedralCone(cone.dim, rays_c, lin_c, inequalities=tuple(rows))
 
 
 # -- membership ---------------------------------------------------------------
@@ -336,37 +325,30 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
     """Exact membership verdict with a checkable certificate.
 
     IN comes with conic coefficients over the cone's directed generators,
-    found by exact LP.  OUT comes with an integer separator: a violated
-    inequality row when the cone's inequality representation is cached,
-    otherwise a functional recovered from the LP's Farkas dual.  The
-    certificate is re-verified arithmetically before being returned.
+    found by exact LP.  OUT comes with an integer separator: the first
+    violated row when the cone was built with inequality rows, otherwise a
+    functional recovered from the LP's Farkas dual.  The certificate is
+    rechecked arithmetically before being returned; a failed recheck raises
+    :class:`CertificateError`.
     """
     vec = _coerce_vector(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         violated = next((h for h in rows if dot(h, vec) < 0), None)
         if violated is not None:
-            cert = MembershipCertificate(OUT, separator=violated)
-            assert verify_membership(cone, vec, cert)
-            return cert
+            return _certified(cone, vec, MembershipCertificate(OUT, separator=violated))
 
     gens = cone.rays
     lins = cone.lineality
-    cols = list(gens) + list(lins)
-    if not cols:
-        if all(v == 0 for v in vec):
+    if not gens and not lins:
+        if is_zero(vec):
             return MembershipCertificate(IN, combination=())
         # separate along any nonzero coordinate of x
         i = next(i for i, v in enumerate(vec) if v != 0)
         sep = tuple(0 if j != i else (-1 if vec[i] > 0 else 1) for j in range(cone.dim))
-        cert = MembershipCertificate(OUT, separator=sep)
-        assert verify_membership(cone, vec, cert)
-        return cert
+        return _certified(cone, vec, MembershipCertificate(OUT, separator=sep))
 
-    lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
-    for i in range(cone.dim):
-        lp.add([c[i] for c in cols], "==", vec[i])
-    res = lp.feasibility()
+    res = _hull_lp(vec, gens, lins)
     if res.status == OPTIMAL:
         combo: list[tuple[int, Fraction]] = []
         nrays, nlins = len(gens), len(lins)
@@ -379,23 +361,25 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
                 combo.append((nrays + j, mu))
             elif mu < 0:
                 combo.append((nrays + nlins + j, -mu))
-        cert = MembershipCertificate(IN, combination=tuple(combo))
-        assert verify_membership(cone, vec, cert)
-        return cert
-    assert res.status == INFEASIBLE
-    sep = primitive(vec_neg(res.duals))
-    cert = MembershipCertificate(OUT, separator=sep)
-    assert verify_membership(cone, vec, cert)
+        return _certified(cone, vec, MembershipCertificate(IN, combination=tuple(combo)))
+    if res.status != INFEASIBLE:
+        raise CertificateError(f"hull feasibility LP ended {res.status}")
+    return _certified(cone, vec, MembershipCertificate(OUT, separator=primitive(vec_neg(res.duals))))
+
+
+def _certified(cone: PolyhedralCone, vec: Sequence, cert: MembershipCertificate) -> MembershipCertificate:
+    if not verify_membership(cone, vec, cert):
+        raise CertificateError(f"{cert.verdict} certificate failed its arithmetic recheck")
     return cert
 
 
 def contains(cone: PolyhedralCone, x: Sequence) -> bool:
-    """Membership verdict only; uses cached inequalities when available."""
+    """Membership verdict only; uses the cone's inequality rows when it has them."""
     vec = _coerce_vector(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         return all(dot(h, vec) >= 0 for h in rows)
-    return _in_hull(vec, cone.rays, cone.dim, cone.lineality)
+    return _in_hull(vec, cone.rays, cone.lineality)
 
 
 def verify_membership(cone: PolyhedralCone, x: Sequence, cert: MembershipCertificate) -> bool:
@@ -426,7 +410,10 @@ def verify_membership(cone: PolyhedralCone, x: Sequence, cert: MembershipCertifi
 
 
 def cone_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
-    """Mathematical equality: mutual containment of all directed generators."""
+    """Mathematical equality: mutual containment of all directed generators.
+
+    For two canonical cones ``a == b`` gives the same answer without an LP.
+    """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"cannot compare cones of dim {a.dim} and {b.dim}")
     return all(contains(b, g) for g in a.directed_generators) and all(

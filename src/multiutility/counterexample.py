@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cones import OUT, MembershipCertificate, cone_from_generators, membership, verify_membership
-from .linprog import OPTIMAL, ExactLP
+from .linprog import OPTIMAL, CertificateError, ExactLP
 from .measures import Measure, OutcomeSpace
 
 MAX_TRUNCATION = 12
@@ -140,7 +140,8 @@ def _separation_cost_primal(n: int, subsets) -> Fraction:
         coeffs = [int(j == i) for j in range(n)] + [-1]
         lp.add(coeffs, "<=", 1)
     res = lp.minimize([0] * n + [1])
-    assert res.status == OPTIMAL, "separation LP is feasible and bounded"
+    if res.status != OPTIMAL:
+        raise CertificateError(f"separation LP ended {res.status}, but it is feasible and bounded")
     return res.objective
 
 

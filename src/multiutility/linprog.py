@@ -27,6 +27,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class CertificateError(RuntimeError):
+    """An exact result failed its own arithmetic recheck: a defect, never bad input."""
+
+
 @dataclass(frozen=True)
 class LPResult:
     """Outcome of an exact solve.
@@ -225,7 +229,8 @@ class _Simplex:
         obj = self._reduced_costs(phase1)
         allowed = [True] * self.ncols
         status = self._bland(obj, allowed)
-        assert status == OPTIMAL, "phase 1 is bounded below by zero"
+        if status != OPTIMAL:
+            raise CertificateError(f"phase 1 ended {status}, but it is bounded below by zero")
         if self.obj_value > 0:
             return LPResult(INFEASIBLE, None, None, self._duals(obj, phase1))
 

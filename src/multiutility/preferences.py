@@ -17,10 +17,10 @@ from typing import Iterable, Sequence
 
 from ._linalg import is_zero, primitive, vec_neg
 from .cones import (
+    DimensionMismatchError,
     MembershipCertificate,
     PolyhedralCone,
     canonical_rep,
-    cone_equal,
     cone_from_generators,
     contains,
     dual_cone,
@@ -81,8 +81,10 @@ class Representation:
 
     ``utilities`` is never empty; each one is pinned to payoff zero at
     ``pin``.  ``cone`` is the canonical cone of the data's difference
-    vectors, ``dual`` its dual cone in the ambient coordinate space (its
-    lineality always contains the constant direction).
+    vectors, built with ``dual.directed_generators`` as its inequality rows,
+    so membership answers OUT with the first row the queried vector
+    violates.  ``dual`` is its dual cone in the ambient coordinate space
+    (its lineality always contains the constant direction).
     """
 
     space: OutcomeSpace
@@ -118,8 +120,9 @@ def extract_representation(dataset: PreferenceDataset, pin: str) -> Representati
     """
     space = dataset.space
     pin_index = space.position(pin)
-    cone = build_cone(dataset)
-    dual = dual_cone(cone)
+    hull = build_cone(dataset)
+    dual = dual_cone(hull)
+    cone = PolyhedralCone(hull.dim, hull.rays, hull.lineality, inequalities=dual.directed_generators)
 
     ones = tuple(1 for _ in range(len(space)))
     vectors: list[tuple[int, ...]] = []
@@ -174,9 +177,13 @@ def check_uniqueness(first: Iterable[Utility], second: Iterable[Utility]) -> boo
     """Do two utility sets induce the same preference relation?
 
     True exactly when their closed conic hulls, taken together with both
-    constant directions, coincide.
+    constant directions, coincide.  Canonical forms are unique, so the hulls
+    coincide exactly when their canonical forms are equal.
     """
-    return cone_equal(canonical_rep(first), canonical_rep(second))
+    a, b = canonical_rep(first), canonical_rep(second)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"cannot compare utility sets on {a.dim} and {b.dim} outcomes")
+    return a == b
 
 
 def monotone_extend(dataset: PreferenceDataset, ranking: MonotoneStructure) -> PreferenceDataset:
@@ -250,8 +257,8 @@ def check_independence_closure(dataset: PreferenceDataset, samples: int = 100, s
     """
     rng = random.Random(seed)
     space = dataset.space
-    cone = build_cone(dataset)
-    dual_cone(cone)  # fill the inequality cache: verdicts become dot products
+    # the representation's cone carries inequality rows: verdicts are dot products
+    cone = extract_representation(dataset, space.outcomes[0]).cone
     for _ in range(samples):
         if dataset.statements:
             p, q = _random_entailed_pair(rng, dataset)

@@ -3,7 +3,12 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import ModuleType
 
+import pytest
+
+import multiutility
+from multiutility import cones
 from multiutility.cli import main
 
 CHAIN = {
@@ -231,3 +236,24 @@ def test_module_entry_requires_verb():
         [sys.executable, "-m", "multiutility"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+def test_seed_flag_is_gone(tmp_path):
+    data = write(tmp_path, "chain.json", CHAIN)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("represent", "--input", data, "--seed", "0")
+    assert exc.value.code == 2
+
+
+def test_failed_recheck_is_an_internal_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cones, "verify_membership", lambda *args: False)
+    data = write(tmp_path, "chain.json", CHAIN)
+    pair = write(tmp_path, "pair.json", {"p": {"a": 1}, "q": {"c": 1}})
+    code, out, err = run_cli("query", "--input", data, "--input", pair)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "internal"
+
+
+def test_package_exports_no_submodules():
+    assert "membership" in multiutility.__all__ and "CertificateError" in multiutility.__all__
+    assert not [n for n in multiutility.__all__ if isinstance(getattr(multiutility, n), ModuleType)]

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,7 @@ from multiutility import OutcomeSpace, Utility
 from multiutility.cones import (
     IN,
     OUT,
+    CertificateError,
     DimensionMismatchError,
     EmptyUtilitySetError,
     MembershipCertificate,
@@ -228,3 +234,43 @@ def test_dual_pairing_is_nonnegative_exactly():
         for u in d.directed_generators:
             for g in c.directed_generators:
                 assert sum(a * b for a, b in zip(u, g)) >= 0
+
+
+def test_dual_cone_leaves_its_argument_and_its_certificates_unchanged():
+    c = cone_from_generators([(1, -1, 0), (0, 1, -1)])
+    before = membership(c, (-1, 1, 0))
+    assert before.separator == (1, -1, -1)  # the LP's Farkas functional
+    dual_cone(c)
+    assert membership(c, (-1, 1, 0)) == before
+    assert c == cone_from_generators([(1, -1, 0), (0, 1, -1)])
+    assert c._inequalities is None
+    rows = cone_from_inequalities([(1, 0), (0, 1)], dim=2)
+    dual_cone(rows)
+    assert rows._inequalities == ((1, 0), (0, 1))
+
+
+def test_certificate_error_is_not_a_value_error():
+    # the CLI reports ValueErrors as bad input; a failed recheck is a defect
+    assert not issubclass(CertificateError, ValueError)
+
+
+def test_failed_recheck_raises_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        import multiutility.cones as C
+        assert sys.flags.optimize
+        C.verify_membership = lambda *args: False
+        c = C.cone_from_generators([(1, -1)])
+        for x in [(-1, 1), (2, -2)]:
+            try:
+                print("returned", C.membership(c, x))
+            except C.CertificateError:
+                print("raised")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]

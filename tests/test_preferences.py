@@ -15,6 +15,7 @@ from multiutility import (
     UnknownOutcomeError,
     Utility,
     build_cone,
+    canonical_rep,
     check_increasing,
     check_independence_closure,
     check_uniqueness,
@@ -239,3 +240,53 @@ def random_dataset(rng, space, max_statements):
         for _ in range(rng.randint(0, max_statements))
     )
     return PreferenceDataset(space, pairs)
+
+
+def test_representation_cone_rows_are_the_dual_generators():
+    rep = extract_representation(chain_dataset(), pin="c")
+    rows = rep.cone._inequalities
+    assert rows == rep.dual.directed_generators
+    v = query(rep, point(ABC, "c"), point(ABC, "a"))
+    x = (point(ABC, "c") - point(ABC, "a")).dense()
+    assert v.forward.separator == next(h for h in rows if sum(a * b for a, b in zip(h, x)) < 0)
+
+
+def _same_hull(rng, base, n):
+    """Another presentation of canonical_rep(base): scaled, shifted, conic combinations."""
+    out = []
+    for u in base:
+        scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        shift = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        out.append([scale * v + shift for v in u])
+    for _ in range(rng.randint(0, 3)):
+        lam = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in base]
+        shift = rng.randint(-3, 3)
+        out.append([sum(l * u[i] for l, u in zip(lam, base)) + shift for i in range(n)])
+    rng.shuffle(out)
+    return out
+
+
+def test_uniqueness_agrees_with_lp_equality_of_canonical_hulls():
+    rng = random.Random(2004)
+    seen = {True: 0, False: 0}
+    for trial in range(48):
+        space = OutcomeSpace([f"z{i}" for i in range(rng.randint(2, 6))])
+        n = len(space)
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        if trial % 2:
+            other = _same_hull(rng, base, n)
+        else:
+            other = [list(u) for u in base]
+            extra = [rng.randint(-3, 3) for _ in range(n)]
+            if rng.randint(0, 1) and len(other) > 1:
+                other[rng.randrange(len(other))] = extra
+            else:
+                other.append(extra)
+        first = [Utility(space, u) for u in base]
+        second = [Utility(space, u) for u in other]
+        expected = cone_equal(canonical_rep(first), canonical_rep(second))
+        assert check_uniqueness(first, second) == expected
+        if trial % 2:
+            assert expected
+        seen[expected] += 1
+    assert seen[False] >= 12
