@@ -6,7 +6,7 @@ plain tuples of ``int`` or ``Fraction``; nothing here ever touches a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -29,8 +29,14 @@ def is_zero(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
+def clear_denominators(a: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of a vector of ints or Fractions over the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in a))
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
 def primitive(a: Sequence) -> IntVector:
-    """Scale a rational vector to coprime integers, keeping orientation.
+    """Scale a vector of ints or Fractions to coprime integers, keeping orientation.
 
     Clears denominators, divides out the gcd of the entries, and never flips
     sign: rays are directed.  The zero vector maps to itself.
@@ -38,16 +44,8 @@ def primitive(a: Sequence) -> IntVector:
     >>> primitive((Fraction(1, 2), Fraction(0), Fraction(-3, 4)))
     (2, 0, -3)
     """
-    fracs = [Fraction(x) for x in a]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints, _ = clear_denominators(a)
+    g = gcd(*ints) or 1
     return tuple(v // g for v in ints)
 
 
@@ -57,8 +55,6 @@ def rref(rows: Sequence[Sequence]) -> list[Vector]:
     if not mat:
         return []
     ncols = len(mat[0])
-    out: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
         pivot = None
@@ -75,12 +71,10 @@ def rref(rows: Sequence[Sequence]) -> list[Vector]:
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
         r += 1
         if r == len(mat):
             break
-    out = [row for row in mat[:r]]
-    return [tuple(row) for row in out]
+    return [tuple(row) for row in mat[:r]]
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -1,9 +1,11 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex on a dense Fraction tableau with Bland's pivoting
-rule, which guarantees termination without cycling and makes every run
-deterministic.  Artificial variables are introduced only for rows whose slack
-cannot seed the initial basis.
+Two-phase primal simplex with Bland's pivoting rule, which guarantees
+termination without cycling and makes every run deterministic.  The tableau
+is dense and integer: each row holds integer numerators over one positive
+denominator, and Fractions appear only in the returned results.  Artificial
+variables are introduced only for rows whose slack cannot seed the initial
+basis.
 
 Solutions, objective values and dual multipliers are exact.  For infeasible
 problems the reported multipliers form a Farkas certificate: y is
@@ -15,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from ._linalg import clear_denominators
 from .measures import as_fraction
 
 OPTIMAL = "OPTIMAL"
@@ -24,7 +28,6 @@ INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CertificateError(RuntimeError):
@@ -85,8 +88,24 @@ class ExactLP:
         return _Simplex(self, [as_fraction(c) for c in costs]).run()
 
 
+def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int) -> tuple[list[int], int]:
+    """Clear ``col`` of ``row``/``den`` with the pivot row ``prow``/``p``, whose ``col`` entry is p/p = 1."""
+    f = row[col]
+    nums = [x * p - f * y for x, y in zip(row, prow)]
+    g = gcd(den * p, *nums)
+    return [x // g for x in nums], den * p // g
+
+
 class _Simplex:
-    """Standard-form tableau machinery behind :class:`ExactLP`."""
+    """Standard-form tableau machinery behind :class:`ExactLP`.
+
+    Every row is a list of integer numerators, one per column with the
+    right-hand side last, over one positive integer denominator (``dens[i]``
+    for constraint row i, ``obj_den`` for the objective row, whose last entry
+    is minus the objective value).  A pivot cross-multiplies and divides each
+    changed row by the gcd of its denominator and numerators, so every true
+    value, and with it every Bland choice, is that of a Fraction tableau.
+    """
 
     def __init__(self, lp: ExactLP, costs: list[Fraction]):
         self.lp = lp
@@ -104,176 +123,161 @@ class _Simplex:
             else:
                 self.col_of_var.append([(ncols, 1)])
                 ncols += 1
-        self.structural_cols = ncols
 
-        m = len(lp.rows)
-        slack_cols: list[int | None] = [None] * m
-        for r, (_, sense, _rhs) in enumerate(lp.rows):
-            if sense != "==":
-                slack_cols[r] = ncols
-                ncols += 1
+        # Standard form A x = b with b >= 0 (rows flipped as needed).  A
+        # slack seeds the basis only if it enters its flipped row with +1;
+        # every other row gets an artificial column.
+        slack_cols: list[int | None] = []
+        slack_sign: list[int] = []
+        row_sign: list[int] = []
+        for _, sense, rhs_val in lp.rows:
+            row_sign.append(1 if rhs_val >= 0 else -1)
+            slack_cols.append(None if sense == "==" else ncols)
+            slack_sign.append(0 if sense == "==" else row_sign[-1] * (1 if sense == "<=" else -1))
+            ncols += sense != "=="
         self.art_start = ncols
+        self.art_col_of_row: list[int | None] = []
+        for sign in slack_sign:
+            self.art_col_of_row.append(None if sign == 1 else ncols)
+            ncols += sign != 1
+        self.ncols = ncols
 
-        # Standard form A x = b with b >= 0 (rows flipped as needed).
-        self.mat: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
-        self.mat_row_origin: list[int] = []
-        self.row_sign: list[int] = []
+        self.row_origin: list[int] = []
         # marker[r] = (column that is +e_r in the standard system, row sign);
         # its final reduced cost recovers the dual multiplier of row r.
         self.marker: list[tuple[int, int]] = []
-        art_rows: list[int] = []
-        for r, (coeffs, sense, rhs_val) in enumerate(lp.rows):
-            sign = 1 if rhs_val >= 0 else -1
-            self.row_sign.append(sign)
-            row = [_ZERO] * ncols
-            for var, cval in enumerate(coeffs):
-                if cval == 0:
-                    continue
-                for col, s in self.col_of_var[var]:
-                    row[col] = sign * s * cval
+        for r, (coeffs, _sense, rhs_val) in enumerate(lp.rows):
+            sign = row_sign[r]
+            nums, den = clear_denominators((*coeffs, rhs_val))
+            row = [0] * (ncols + 1)
+            for var, cval in enumerate(nums[:-1]):
+                if cval != 0:
+                    for col, s in self.col_of_var[var]:
+                        row[col] = sign * s * cval
             if slack_cols[r] is not None:
-                row[slack_cols[r]] = Fraction(sign * (1 if sense == "<=" else -1))
-            self.mat.append(row)
-            self.rhs.append(sign * rhs_val)
-            self.mat_row_origin.append(r)
-            if slack_cols[r] is not None and row[slack_cols[r]] == 1:
-                self.basis.append(slack_cols[r])
-                self.marker.append((slack_cols[r], sign))
+                row[slack_cols[r]] = slack_sign[r] * den
+            basic = self.art_col_of_row[r]
+            if basic is None:
+                basic = slack_cols[r]
             else:
-                self.basis.append(-1)
-                self.marker.append((-1, sign))
-                art_rows.append(r)
-
-        self.art_col_of_row: list[int | None] = [None] * m
-        for r in art_rows:
-            col = ncols
-            ncols += 1
-            for row in self.mat:
-                row.append(_ZERO)
-            self.mat[r][col] = _ONE
-            self.basis[r] = col
-            self.marker[r] = (col, self.row_sign[r])
-            self.art_col_of_row[r] = col
-        self.ncols = ncols
-        self.obj_value = _ZERO
+                row[basic] = den
+            row[-1] = sign * nums[-1]
+            self.rows.append(row)
+            self.dens.append(den)
+            self.basis.append(basic)
+            self.row_origin.append(r)
+            self.marker.append((basic, sign))
+        self.obj: list[int] = []
+        self.obj_den = 1
 
     # -- tableau primitives -------------------------------------------------
 
-    def _pivot(self, row_idx: int, col: int, obj: list[Fraction]) -> None:
-        mat, rhs = self.mat, self.rhs
-        prow = mat[row_idx]
-        pval = prow[col]
-        if pval != 1:
-            inv = 1 / pval
-            mat[row_idx] = prow = [x * inv for x in prow]
-            rhs[row_idx] *= inv
-        for i in range(len(mat)):
-            if i == row_idx:
-                continue
-            f = mat[i][col]
-            if f != 0:
-                mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
-                rhs[i] -= f * rhs[row_idx]
-        f = obj[col]
-        if f != 0:
-            for j in range(self.ncols):
-                obj[j] -= f * prow[j]
-            self.obj_value += f * rhs[row_idx]
+    def _pivot(self, row_idx: int, col: int) -> tuple[list[int], int]:
+        """Pivot on (row_idx, col); return the new pivot row and denominator."""
+        prow = self.rows[row_idx]
+        g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)
+        prow = [x // g for x in prow]
+        p = prow[col]
+        for i, row in enumerate(self.rows):
+            if i != row_idx and row[col] != 0:
+                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, p, col)
+        self.rows[row_idx], self.dens[row_idx] = prow, p
         self.basis[row_idx] = col
+        return prow, p
 
-    def _bland(self, obj: list[Fraction], allowed: list[bool]) -> str:
+    def _bland(self, allowed: list[bool]) -> str:
         while True:
             enter = -1
             for j in range(self.ncols):
-                if allowed[j] and obj[j] < 0:
+                if allowed[j] and self.obj[j] < 0:
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
+            # ratio rhs/a within a row is the same over any denominator
             leave = -1
-            best = None
-            for i, row in enumerate(self.mat):
+            for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave < 0:
+                        leave, best_rhs, best_a = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, best_rhs, best_a = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED
-            self._pivot(leave, enter, obj)
+            prow, p = self._pivot(leave, enter)
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, enter)
 
-    def _reduced_costs(self, costs_by_col: list[Fraction]) -> list[Fraction]:
-        obj = list(costs_by_col)
-        self.obj_value = _ZERO
-        for i, b in enumerate(self.basis):
-            cb = costs_by_col[b]
-            if cb != 0:
-                row = self.mat[i]
-                for j in range(self.ncols):
-                    obj[j] -= cb * row[j]
-                self.obj_value += cb * self.rhs[i]
-        return obj
+    def _reduced_costs(self, costs_by_col: list[int], cost_den: int) -> None:
+        basic = [(i, costs_by_col[b]) for i, b in enumerate(self.basis) if costs_by_col[b] != 0]
+        den = lcm(*(self.dens[i] for i, _ in basic))
+        obj = [c * den for c in costs_by_col] + [0]
+        for i, cb in basic:
+            k = cb * (den // self.dens[i])
+            obj = [x - k * y for x, y in zip(obj, self.rows[i])]
+        g = gcd(cost_den * den, *obj)
+        self.obj, self.obj_den = [x // g for x in obj], cost_den * den // g
 
     # -- phases ---------------------------------------------------------------
 
     def run(self) -> LPResult:
-        phase1 = [_ZERO] * self.ncols
+        phase1 = [0] * self.ncols
         for col in self.art_col_of_row:
             if col is not None:
-                phase1[col] = _ONE
-        obj = self._reduced_costs(phase1)
+                phase1[col] = 1
+        self._reduced_costs(phase1, 1)
         allowed = [True] * self.ncols
-        status = self._bland(obj, allowed)
+        status = self._bland(allowed)
         if status != OPTIMAL:
             raise CertificateError(f"phase 1 ended {status}, but it is bounded below by zero")
-        if self.obj_value > 0:
-            return LPResult(INFEASIBLE, None, None, self._duals(obj, phase1))
+        if self.obj[-1] < 0:
+            return LPResult(INFEASIBLE, None, None, self._duals(phase1, 1))
 
         self._drive_out_artificials()
 
-        phase2 = [_ZERO] * self.ncols
-        for var, cval in enumerate(self.costs):
-            if cval != 0:
-                for col, s in self.col_of_var[var]:
-                    phase2[col] += s * cval
+        nums, cost_den = clear_denominators(self.costs)
+        phase2 = [0] * self.ncols
+        for var, cval in enumerate(nums):
+            for col, s in self.col_of_var[var]:
+                phase2[col] = s * cval
         for col in self.art_col_of_row:
             if col is not None:
                 allowed[col] = False
-        obj = self._reduced_costs(phase2)
-        status = self._bland(obj, allowed)
+        self._reduced_costs(phase2, cost_den)
+        status = self._bland(allowed)
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None, None)
-        return LPResult(OPTIMAL, self.obj_value, self._solution(), self._duals(obj, phase2))
+        objective = Fraction(-self.obj[-1], self.obj_den)
+        return LPResult(OPTIMAL, objective, self._solution(), self._duals(phase2, cost_den))
 
     def _drive_out_artificials(self) -> None:
         # A basic artificial sits at value 0 after a feasible phase 1; pivot
         # it out on any non-artificial column, or delete its row when the row
         # has become implied by the others.
-        dummy = [_ZERO] * self.ncols
         dead: list[int] = []
-        for i in range(len(self.mat)):
+        for i in range(len(self.rows)):
             if self.basis[i] < self.art_start:
                 continue
-            col = next((j for j in range(self.art_start) if self.mat[i][j] != 0), None)
+            col = next((j for j in range(self.art_start) if self.rows[i][j] != 0), None)
             if col is None:
                 dead.append(i)
             else:
-                self._pivot(i, col, dummy)
+                self._pivot(i, col)
         for i in reversed(dead):
-            del self.mat[i]
-            del self.rhs[i]
+            del self.rows[i]
+            del self.dens[i]
             del self.basis[i]
-            del self.mat_row_origin[i]
+            del self.row_origin[i]
 
     # -- certificate extraction ----------------------------------------------
 
-    def _duals(self, obj: list[Fraction], costs_by_col: list[Fraction]) -> tuple[Fraction, ...]:
-        alive = set(self.mat_row_origin)
+    def _duals(self, costs_by_col: list[int], cost_den: int) -> tuple[Fraction, ...]:
+        alive = set(self.row_origin)
         duals: list[Fraction] = []
         for r in range(len(self.lp.rows)):
             if r not in alive:
@@ -282,14 +286,14 @@ class _Simplex:
             col, sign = self.marker[r]
             # The marker column is +e_r with cost c in the standard system,
             # so its reduced cost is c - y_r; undo the row flip afterwards.
-            y_std = costs_by_col[col] - obj[col]
+            y_std = Fraction(costs_by_col[col], cost_den) - Fraction(self.obj[col], self.obj_den)
             duals.append(sign * y_std)
         return tuple(duals)
 
     def _solution(self) -> tuple[Fraction, ...]:
         col_val = [_ZERO] * self.ncols
         for i, b in enumerate(self.basis):
-            col_val[b] = self.rhs[i]
+            col_val[b] = Fraction(self.rows[i][-1], self.dens[i])
         out = []
         for var in range(self.lp.num_vars):
             v = _ZERO

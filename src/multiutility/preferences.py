@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._linalg import is_zero, primitive, vec_neg
 from .cones import (
@@ -25,7 +25,6 @@ from .cones import (
     contains,
     dual_cone,
     membership,
-    quotient_by_constants,
 )
 from .measures import (
     Lottery,

@@ -33,7 +33,6 @@ from multiutility import (
     membership,
     monotone_extend,
     query,
-    separation_cost,
     verify_membership,
 )
 from multiutility.cones import IN, OUT

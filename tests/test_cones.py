@@ -16,7 +16,6 @@ from multiutility.cones import (
     DimensionMismatchError,
     EmptyUtilitySetError,
     MembershipCertificate,
-    PolyhedralCone,
     canonical_rep,
     cone_equal,
     cone_from_generators,

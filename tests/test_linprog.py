@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -174,3 +176,62 @@ def test_random_lps_certified():
             check_farkas(rows, free, res.duals)
     # the sample is varied enough to hit every outcome
     assert all(count > 0 for count in statuses.values())
+
+
+def _pinned_frac(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _pinned_lps():
+    rng = random.Random(2718)
+    for _ in range(300):
+        nvars = rng.randint(2, 6)
+        free = {j for j in range(nvars) if rng.random() < 0.3}
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if rows and kind < 0.2:
+                # a positive multiple of an earlier row: redundant
+                coeffs, sense, rhs = rng.choice(rows)
+                k = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+                rows.append(([k * c for c in coeffs], sense, k * rhs))
+                continue
+            if free and kind < 0.35:
+                # an equality on the free variables only
+                coeffs = [_pinned_frac(rng) if j in free else Fraction(0) for j in range(nvars)]
+                sense = "=="
+            else:
+                coeffs = [_pinned_frac(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(nvars)]
+                sense = rng.choice(["<=", ">=", "=="])
+            # zero right-hand sides make degenerate ratio-test ties
+            rhs = Fraction(0) if rng.random() < 0.3 else _pinned_frac(rng)
+            rows.append((coeffs, sense, rhs))
+        # mostly nonnegative costs on nonnegative variables and zero costs on
+        # free ones, so that many of the LPs have an optimum
+        costs = [
+            Fraction(0) if j in free and rng.random() < 0.7
+            else abs(_pinned_frac(rng)) if rng.random() < 0.8 else _pinned_frac(rng)
+            for j in range(nvars)
+        ]
+        yield nvars, free, rows, costs
+
+
+def test_pinned_pivot_path():
+    # Bland's rule fixes the whole pivot path, so the optimum, the solution
+    # and the certificate the solver returns are pinned, not only their
+    # validity.  The digest was recorded from a plain Fraction tableau; any
+    # kernel that pivots differently changes it.
+    results = []
+    for nvars, free, rows, costs in _pinned_lps():
+        lp = ExactLP(nvars, free=free)
+        for coeffs, sense, rhs in rows:
+            lp.add(coeffs, sense, rhs)
+        res = lp.minimize(costs)
+        if res.status == OPTIMAL:
+            check_minimize_certificate(rows, free, costs, res)
+        elif res.status == INFEASIBLE:
+            check_farkas(rows, free, res.duals)
+        results.append((res.status, res.objective, res.solution, res.duals))
+    assert Counter(r[0] for r in results) == {OPTIMAL: 152, INFEASIBLE: 98, UNBOUNDED: 50}
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "ea160d39da7e3a3dff1250f90a4e89544306be261d7f9b7d7cd5cbcadd72578c"
