@@ -77,10 +77,6 @@ def rref(rows: Sequence[Sequence]) -> list[Vector]:
     return [tuple(row) for row in mat[:r]]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows))
-
-
 def rref_basis(rows: Sequence[Sequence]) -> list[IntVector]:
     """Canonical primitive-integer basis of the row space (RREF order)."""
     return [primitive(r) for r in rref(rows)]

@@ -12,6 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from ._linalg import clear_denominators, dot
 from .cones import CertificateError, verify_membership
 from .counterexample import anchor_membership, build_truncation, lab_table
 from .jsonio import (
@@ -30,7 +31,7 @@ from .jsonio import (
     _expect_dict,
     _expect_list,
 )
-from .measures import decompose, expectation
+from .measures import decompose
 from .preferences import (
     PreferenceDataset,
     check_increasing,
@@ -105,9 +106,12 @@ def _verify_representation(rep, dataset: PreferenceDataset) -> None:
     for u in rep.utilities:
         if u.value(rep.pin) != 0:
             raise VerificationError(f"utility {u!r} not pinned to zero at {rep.pin!r}")
+    # E_p[u] >= E_q[u] iff <p - q, u> >= 0, a sign that positive scaling keeps
+    values = [clear_denominators(u.values)[0] for u in rep.utilities]
     for p, q in dataset.statements:
-        for u in rep.utilities:
-            if expectation(p, u) < expectation(q, u):
+        diff, _ = clear_denominators((p - q).dense())
+        for u, vals in zip(rep.utilities, values):
+            if dot(diff, vals) < 0:
                 raise VerificationError(
                     f"statement {p!r} over {q!r} violated by extracted utility {u!r}"
                 )

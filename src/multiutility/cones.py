@@ -3,9 +3,9 @@
 A cone is stored as a lineality basis plus pointed-part rays, every vector a
 primitive integer tuple.  Duals are computed by the double description
 method: generators of the primal become inequality rows, inserted
-incrementally starting from the full space; adjacency of rays is decided by
-an exact rank test on the active constraint set.  Membership runs an exact
-feasibility LP and returns a checkable certificate either way: conic
+incrementally starting from the full space; adjacency of rays is decided
+by containment between the bitmasks of rows they lie on.  Membership runs an
+exact feasibility LP and returns a checkable certificate either way: conic
 coefficients when the vector lies inside, an integer separating functional
 when it does not.
 
@@ -22,7 +22,6 @@ from ._linalg import (
     dot,
     is_zero,
     primitive,
-    rank,
     reduce_mod_rowspace,
     rref,
     rref_basis,
@@ -219,17 +218,20 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
     """Intersect half-spaces <row, y> >= 0 starting from the full space.
 
     Returns (lineality basis, pointed rays) of the intersection.  Rows are
-    inserted in the given order; ray adjacency is decided by the exact rank
-    test rank(common active rows) == dim - |lineality| - 2.
+    inserted in the given order.  Each ray keeps its zero set, the rows so
+    far that it lies on, as an int bitmask; two rays are adjacent exactly
+    when no third ray's zero set contains the intersection of theirs
+    (Fukuda & Prodon), which holds because the rays stay distinct modulo the
+    lineality.  A popcount bound, dim - |lineality| - 2, filters first.
     """
     lineality: list[IntVector] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
     ]
-    rays: list[IntVector] = []
-    processed: list[IntVector] = []
-    for a in rows:
+    rays: dict[IntVector, int] = {}
+    for k, a in enumerate(rows):
+        bit = 1 << k
         lin_vals = [dot(a, l) for l in lineality]
-        cut = next((k for k, v in enumerate(lin_vals) if v != 0), None)
+        cut = next((i for i, v in enumerate(lin_vals) if v != 0), None)
         if cut is not None:
             l0 = lineality[cut]
             d0 = lin_vals[cut]
@@ -237,51 +239,41 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
                 l0 = vec_neg(l0)
                 d0 = -d0
             new_lin = []
-            for k, l in enumerate(lineality):
-                if k == cut:
+            for i, l in enumerate(lineality):
+                if i == cut:
                     continue
-                v = lin_vals[k]
+                v = lin_vals[i]
                 new_lin.append(primitive(tuple(d0 * li - v * l0i for li, l0i in zip(l, l0))))
+            # l0 is orthogonal to every earlier row, so a ray moved along it keeps
+            # its zero set, and l0 becomes a ray lying on all the earlier rows
             new_rays = []
-            for r in rays:
+            for r, z in rays.items():
                 v = dot(a, r)
-                new_rays.append(primitive(tuple(d0 * ri - v * l0i for ri, l0i in zip(r, l0))))
-            new_rays.append(l0)
+                new_rays.append((primitive(tuple(d0 * ri - v * l0i for ri, l0i in zip(r, l0))), z | bit))
+            new_rays.append((l0, bit - 1))
             lineality = new_lin
             rays = _dedupe(new_rays)
-        else:
-            plus = [(r, dot(a, r)) for r in rays if dot(a, r) > 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            minus = [(r, dot(a, r)) for r in rays if dot(a, r) < 0]
-            target = dim - len(lineality) - 2
-            combos: list[IntVector] = []
-            if plus and minus and target >= 0:
-                for rp, vp in plus:
-                    for rm, vm in minus:
-                        common = [
-                            c
-                            for c in processed
-                            if dot(c, rp) == 0 and dot(c, rm) == 0
-                        ]
-                        if len(common) < target or rank(common) != target:
-                            continue
-                        # vp*rm - vm*rp lands exactly on the new hyperplane
-                        combos.append(
-                            primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm)))
-                        )
-            rays = _dedupe([r for r, _ in plus] + zero + combos)
-        processed.append(a)
-    return lineality, rays
+            continue
+        vals = [(r, z, dot(a, r)) for r, z in rays.items()]
+        plus = [t for t in vals if t[2] > 0]
+        minus = [t for t in vals if t[2] < 0]
+        new_rays = [(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z, v in vals if v == 0]
+        target = dim - len(lineality) - 2
+        for rp, zp, vp in plus:
+            for rm, zm, vm in minus:
+                common = zp & zm
+                # rp and rm contain common themselves; a third ray that does is a wider face
+                if common.bit_count() < target or sum(z & common == common for z in rays.values()) > 2:
+                    continue
+                # vp*rm - vm*rp lands exactly on the new hyperplane
+                new_rays.append((primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm))), common | bit))
+        rays = _dedupe(new_rays)
+    return lineality, list(rays)
 
 
-def _dedupe(vectors: Iterable[IntVector]) -> list[IntVector]:
-    out: list[IntVector] = []
-    seen: set[IntVector] = set()
-    for v in vectors:
-        if not is_zero(v) and v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+def _dedupe(rays: Iterable[tuple[IntVector, int]]) -> dict[IntVector, int]:
+    """Nonzero rays in first-seen order, each mapped to its zero set."""
+    return {r: z for r, z in rays if not is_zero(r)}
 
 
 def _canonical_vrep(lineality: Sequence[IntVector], rays: Sequence[IntVector]):

@@ -62,14 +62,16 @@ class ExactLP:
         bad = [i for i in self.free if not 0 <= i < num_vars]
         if bad:
             raise ValueError(f"free variable indices out of range: {bad}")
-        self.rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
+        self.rows: list[tuple[tuple[int | Fraction, ...], str, int | Fraction]] = []
 
     def add(self, coeffs: Sequence, sense: str, rhs) -> None:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        self.rows.append((tuple(as_fraction(c) for c in coeffs), sense, as_fraction(rhs)))
+        # the tableau clears denominators to ints anyway, so an int needs no Fraction
+        *row, b = (c if isinstance(c, int) else as_fraction(c) for c in (*coeffs, rhs))
+        self.rows.append((tuple(row), sense, b))
 
     def feasibility(self) -> LPResult:
         return self.minimize([0] * self.num_vars)

@@ -7,6 +7,7 @@ only meant for small dimensions.
 """
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def _solve_square(columns, target):
@@ -72,3 +73,73 @@ def oracle_decompose(vector):
         q[1] = Fraction(1)
         return Fraction(0), p, q
     return alpha, [v / alpha for v in plus], [v / alpha for v in minus]
+
+
+def _rank(rows):
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            if f != 0:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(v):
+    g = gcd(*v) or 1
+    return tuple(x // g for x in v)
+
+
+def _distinct_nonzero(vectors):
+    return [v for v in dict.fromkeys(vectors) if any(v)]
+
+
+def oracle_double_description(dim, rows):
+    """Double description with the algebraic adjacency test.
+
+    Intersects the half-spaces <row, y> >= 0 of integer rows, inserted in the
+    given order, starting from the full space.  A plus ray and a minus ray
+    are combined when the earlier rows they both lie on have rank
+    dim - |lineality| - 2, which is the definition of adjacency.  Returns
+    (lineality basis, rays) as integer tuples, neither reduced nor sorted.
+    """
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    processed = []
+    for a in rows:
+        lin_vals = [_dot(a, l) for l in lineality]
+        cut = next((k for k, v in enumerate(lin_vals) if v != 0), None)
+        if cut is not None:
+            l0, d0 = lineality[cut], lin_vals[cut]
+            if d0 < 0:
+                l0, d0 = tuple(-x for x in l0), -d0
+
+            def onto_row(v, val):
+                return _primitive(tuple(d0 * x - val * y for x, y in zip(v, l0)))
+
+            lineality = [onto_row(l, v) for k, (l, v) in enumerate(zip(lineality, lin_vals)) if k != cut]
+            rays = _distinct_nonzero([onto_row(r, _dot(a, r)) for r in rays] + [l0])
+        else:
+            vals = [_dot(a, r) for r in rays]
+            target = dim - len(lineality) - 2
+            combos = []
+            for rp, vp in zip(rays, vals):
+                for rm, vm in zip(rays, vals):
+                    if vp <= 0 or vm >= 0 or target < 0:
+                        continue
+                    common = [c for c in processed if _dot(c, rp) == 0 and _dot(c, rm) == 0]
+                    if _rank(common) == target:
+                        combos.append(_primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm))))
+            rays = _distinct_nonzero([r for r, v in zip(rays, vals) if v >= 0] + combos)
+        processed.append(a)
+    return lineality, rays

@@ -36,7 +36,7 @@ from multiutility import (
     verify_membership,
 )
 from multiutility.cones import IN, OUT
-from multiutility.preferences import utilities_agree
+from multiutility.preferences import build_cone, utilities_agree
 
 from oracles import oracle_decompose, oracle_membership
 
@@ -71,6 +71,17 @@ def random_dataset(rng):
         for _ in range(rng.randint(0, 6))
     )
     return PreferenceDataset(space, statements)
+
+
+def test_dual_ray_counts_of_moderate_datasets():
+    # the (n, m) datasets seeded n*100 + m whose duals take real DD work
+    for (n, m), count in {(10, 20): 346, (14, 20): 91}.items():
+        rng = random.Random(n * 100 + m)
+        space = OutcomeSpace([f"z{i}" for i in range(n)])
+        dataset = PreferenceDataset(
+            space, tuple((random_lottery(rng, space), random_lottery(rng, space)) for _ in range(m))
+        )
+        assert len(dual_cone(build_cone(dataset)).rays) == count
 
 
 def test_criterion_1_bipolar_and_duality_biconditional():

@@ -3,12 +3,13 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from types import ModuleType
 
 import pytest
 
 import multiutility
-from multiutility import cones
+from multiutility import Utility, cli, cones
 from multiutility.cli import main
 
 CHAIN = {
@@ -252,6 +253,26 @@ def test_failed_recheck_is_an_internal_error(tmp_path, monkeypatch):
     code, out, err = run_cli("query", "--input", data, "--input", pair)
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["kind"] == "internal"
+
+
+def test_represent_verify_checks_every_statement_exactly(tmp_path, monkeypatch):
+    extract = cli.extract_representation
+
+    def with_utility(values):
+        return lambda dataset, pin: replace(
+            extract(dataset, pin), utilities=(Utility(dataset.space, values),)
+        )
+
+    data = write(tmp_path, "chain.json", CHAIN)
+    # a over b holds with equality, b over c strictly
+    monkeypatch.setattr(cli, "extract_representation", with_utility(["1/3", "1/3", 0]))
+    assert run_cli("represent", "--input", data, "--pin", "c", "--verify")[0] == 0
+    # a over b fails by 1/6
+    monkeypatch.setattr(cli, "extract_representation", with_utility(["1/3", "1/2", 0]))
+    code, out, err = run_cli("represent", "--input", data, "--pin", "c", "--verify")
+    assert code == 1 and out == ""
+    body = json.loads(err)["error"]
+    assert body["kind"] == "verify" and "violated by extracted utility" in body["message"]
 
 
 def test_package_exports_no_submodules():

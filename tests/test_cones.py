@@ -12,6 +12,8 @@ from multiutility import OutcomeSpace, Utility
 from multiutility.cones import (
     IN,
     OUT,
+    _canonical_vrep,
+    _double_description,
     CertificateError,
     DimensionMismatchError,
     EmptyUtilitySetError,
@@ -28,7 +30,7 @@ from multiutility.cones import (
 )
 from multiutility.measures import Measure, expectation
 
-from oracles import oracle_membership
+from oracles import oracle_double_description, oracle_membership
 
 
 def test_empty_generators_give_zero_cone():
@@ -273,3 +275,33 @@ def test_failed_recheck_raises_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "raised"]
+
+
+def _late_cut_rows(rng, dim):
+    """Random integer rows with duplicates, scaled copies and zero rows.
+
+    The first rows leave the last coordinates free, so the lineality along
+    them is cut only by the rows that come after.
+    """
+    free = rng.randint(0, dim - 1)
+    rows = []
+    for i in range(rng.randint(1, dim + 4)):
+        width = dim - free if i < dim - 1 else dim
+        row = tuple(rng.randint(-2, 2) if j < width else 0 for j in range(dim))
+        rows.append(row)
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append(row)
+        elif roll < 0.3:
+            rows.append(tuple(rng.randint(2, 3) * x for x in row))
+    return rows
+
+
+def test_double_description_agrees_with_rank_test_oracle():
+    rng = random.Random(4242)
+    for _ in range(150):
+        dim = rng.randint(2, 9)
+        rows = _late_cut_rows(rng, dim)
+        assert _canonical_vrep(*_double_description(dim, rows)) == _canonical_vrep(
+            *oracle_double_description(dim, rows)
+        ), (dim, rows)

@@ -151,6 +151,8 @@ def test_input_validation():
         lp.minimize([1])
     with pytest.raises(TypeError):
         lp.add([0.5, 1], "<=", 0)
+    with pytest.raises(TypeError):
+        lp.add([1, 1], "<=", 0.5)
 
 
 def test_random_lps_certified():
