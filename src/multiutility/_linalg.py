@@ -49,8 +49,9 @@ def primitive(a: Sequence) -> IntVector:
     return tuple(v // g for v in ints)
 
 
-def rref(rows: Sequence[Sequence]) -> list[Vector]:
-    """Reduced row echelon form over the rationals; zero rows dropped."""
+def rref_basis(rows: Sequence[Sequence]) -> list[IntVector]:
+    """Canonical basis of the row space: its reduced row echelon form over the
+    rationals, zero rows dropped, each row scaled to coprime integers."""
     mat = [list(map(Fraction, r)) for r in rows]
     if not mat:
         return []
@@ -74,28 +75,4 @@ def rref(rows: Sequence[Sequence]) -> list[Vector]:
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]]
-
-
-def rref_basis(rows: Sequence[Sequence]) -> list[IntVector]:
-    """Canonical primitive-integer basis of the row space (RREF order)."""
-    return [primitive(r) for r in rref(rows)]
-
-
-def reduce_mod_rowspace(v: Sequence, basis_rref: Sequence[Sequence]) -> Vector:
-    """Subtract the row-space component of ``v`` along RREF pivot columns.
-
-    ``basis_rref`` must be in reduced row echelon form up to scaling (the
-    output of :func:`rref` or :func:`rref_basis`).  The result agrees with
-    ``v`` modulo the row space and has a zero in every pivot column, which
-    makes it a canonical coset representative.
-    """
-    vec = list(map(Fraction, v))
-    for row in basis_rref:
-        pivot_col = next((j for j, x in enumerate(row) if x != 0), None)
-        if pivot_col is None:
-            continue
-        f = vec[pivot_col] / Fraction(row[pivot_col])
-        if f != 0:
-            vec = [x - f * Fraction(y) for x, y in zip(vec, row)]
-    return tuple(vec)
+    return [primitive(row) for row in mat[:r]]

@@ -59,23 +59,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p: argparse.ArgumentParser, inputs: str | None) -> None:
+    def common(p: argparse.ArgumentParser, inputs: str | None, pin: bool = False, verify: bool = True) -> None:
         if inputs:
             p.add_argument("--input", action="append", default=[], metavar="PATH", help=inputs)
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-        p.add_argument("--pin", metavar="LABEL", help="outcome pinned to payoff zero (default: first outcome)")
-        p.add_argument("--verify", action="store_true", help="recheck all emitted certificates arithmetically")
+        if pin:
+            p.add_argument("--pin", metavar="LABEL", help="outcome pinned to payoff zero (default: first outcome)")
+        if verify:
+            p.add_argument("--verify", action="store_true", help="recheck all emitted certificates arithmetically")
 
     p = sub.add_parser("represent", help="extract the utility set of a dataset")
-    common(p, "dataset JSON")
+    common(p, "dataset JSON", pin=True)
     p = sub.add_parser("query", help="classify one lottery pair")
-    common(p, "dataset JSON, then a {p, q} pair JSON")
+    common(p, "dataset JSON, then a {p, q} pair JSON", pin=True)
     p = sub.add_parser("classify-batch", help="classify many pairs")
-    common(p, "dataset JSON, then a {queries: [...]} JSON")
+    common(p, "dataset JSON, then a {queries: [...]} JSON", pin=True)
     p = sub.add_parser("equal-reps", help="do two utility sets represent the same preferences?")
-    common(p, "two utility-set JSON files")
+    common(p, "two utility-set JSON files", verify=False)
     p = sub.add_parser("monotone-check", help="extend by an outcome ranking and audit the utilities")
-    common(p, "dataset JSON with a monotone section")
+    common(p, "dataset JSON with a monotone section", pin=True)
     p = sub.add_parser("decompose", help="split a zero-sum measure into scaled lotteries")
     common(p, "measure JSON: {outcomes, measure}")
     p = sub.add_parser("counterexample", help="emit the truncation lab table as CSV")

@@ -4,10 +4,12 @@ A cone is stored as a lineality basis plus pointed-part rays, every vector a
 primitive integer tuple.  Duals are computed by the double description
 method: generators of the primal become inequality rows, inserted
 incrementally starting from the full space; adjacency of rays is decided
-by containment between the bitmasks of rows they lie on.  Membership runs an
-exact feasibility LP and returns a checkable certificate either way: conic
-coefficients when the vector lies inside, an integer separating functional
-when it does not.
+by containment between the bitmasks of rows they lie on.  The same pass
+canonicalizes a hull of generators: its lineality and extreme rays are read
+off the dual rays' zero sets, so building a cone never runs an LP.
+Membership runs an exact feasibility LP and returns a checkable certificate
+either way: conic coefficients when the vector lies inside, an integer
+separating functional when it does not.
 
 All verdicts are exact; nothing here tolerates floating point.
 """
@@ -22,8 +24,6 @@ from ._linalg import (
     dot,
     is_zero,
     primitive,
-    reduce_mod_rowspace,
-    rref,
     rref_basis,
     vec_neg,
 )
@@ -141,47 +141,36 @@ def _coerce_vector(x: Sequence, dim: int) -> tuple[Fraction, ...]:
 # -- construction -----------------------------------------------------------
 
 
-def cone_from_generators(
-    vectors: Iterable[Sequence],
-    dim: int | None = None,
-    canonicalize: bool = True,
-) -> PolyhedralCone:
-    """Build the conic hull of rational vectors.
+def cone_from_generators(vectors: Iterable[Sequence], dim: int | None = None) -> PolyhedralCone:
+    """Canonical conic hull of rational vectors.
 
-    Generators are scaled to primitive integer vectors and deduplicated.
-    With ``canonicalize`` (the default) the hull's largest linear subspace is
-    detected by exact LPs and split off as lineality, remaining rays are
-    reduced modulo it, redundant rays are removed by LP, and the ray list is
-    sorted; the result is a canonical representative of the cone.  With
-    ``canonicalize=False`` the caller asserts the hull is already pointed and
-    irredundant (rays are still primitivized, deduplicated and sorted); this
-    is meant for large generator families where the quadratic LP sweep is the
-    dominant cost.
+    Generators are scaled to primitive integer vectors and deduplicated, and
+    one double description pass computes the dual cone with them as rows.
+    The hull's canonical form is read off the dual rays' zero sets, with no
+    LP: a generator lies in the lineality when every dual ray lies on it, and
+    spans an extreme ray when no other generator outside the lineality lies
+    on a strictly larger set of dual rays.  The lineality becomes a reduced
+    echelon basis and the extreme rays are reduced modulo it, made primitive
+    and sorted, so equal cones get equal representatives.
     """
-    prims: list[IntVector] = []
-    seen: set[IntVector] = set()
-    inferred = dim
-    for v in vectors:
-        vv = tuple(as_fraction(c) for c in v)
-        if inferred is None:
-            inferred = len(vv)
-        elif len(vv) != inferred:
-            raise DimensionMismatchError("generators have inconsistent lengths")
-        p = primitive(vv)
-        if is_zero(p) or p in seen:
-            continue
-        seen.add(p)
-        prims.append(p)
-    if inferred is None:
-        raise DimensionMismatchError("dim is required when no generators are given")
-
-    if not canonicalize:
-        return PolyhedralCone(inferred, sorted(prims), ())
-
-    two_sided = {g for g in prims if _in_hull(vec_neg(g), prims)}
-    # two-sided generators lie in the lineality, so reducing them leaves zero and drops them
-    lineality, reduced = _canonical_vrep(sorted(two_sided), prims)
-    return PolyhedralCone(inferred, _drop_redundant(reduced, lineality), lineality)
+    vecs = list(vectors)
+    if dim is None:
+        if not vecs:
+            raise DimensionMismatchError("dim is required when no generators are given")
+        dim = len(vecs[0])
+    prims = [g for g in dict.fromkeys(primitive(_coerce_vector(v, dim)) for v in vecs) if not is_zero(g)]
+    _, dual = _double_description(dim, prims)
+    # tight[i]: bitmask of the dual rays that lie on generator i
+    tight = [sum(1 << j for j, z in enumerate(dual.values()) if z >> i & 1) for i in range(len(prims))]
+    every = (1 << len(dual)) - 1
+    pointed = {t for t in tight if t != every}
+    lineality = [g for g, t in zip(prims, tight) if t == every]
+    rays = [
+        g for g, t in zip(prims, tight)
+        if t != every and not any(s != t and s & t == t for s in pointed)
+    ]
+    lin_c, rays_c = _canonical_vrep(lineality, rays)
+    return PolyhedralCone(dim, rays_c, lin_c)
 
 
 def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVector]) -> LPResult:
@@ -193,72 +182,77 @@ def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVect
     return lp.feasibility()
 
 
-def _in_hull(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVector] = ()) -> bool:
-    if not gens and not lineality:
-        return is_zero(x)
-    return _hull_lp(x, gens, lineality).status == OPTIMAL
-
-
-def _drop_redundant(rays: Sequence[IntVector], lineality: Sequence[IntVector]) -> list[IntVector]:
-    kept = list(rays)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if _in_hull(kept[i], others, lineality):
-            del kept[i]
-        else:
-            i += 1
-    return kept
-
-
 # -- double description ------------------------------------------------------
 
 
-def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVector], list[IntVector]]:
+def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVector], dict[IntVector, int]]:
     """Intersect half-spaces <row, y> >= 0 starting from the full space.
 
-    Returns (lineality basis, pointed rays) of the intersection.  Rows are
-    inserted in the given order.  Each ray keeps its zero set, the rows so
-    far that it lies on, as an int bitmask; two rays are adjacent exactly
-    when no third ray's zero set contains the intersection of theirs
-    (Fukuda & Prodon), which holds because the rays stay distinct modulo the
-    lineality.  A popcount bound, dim - |lineality| - 2, filters first.
+    Returns the lineality basis and the pointed rays of the intersection,
+    each ray mapped to its zero set: the bitmask of the rows it lies on, bit
+    k standing for ``rows[k]``.  The insertion order depends on the rows
+    alone.  First every row that cuts the current lineality goes in, lowest
+    index first (a row that does not cut it never will, as it only shrinks).
+    Then, one at a time, the remaining row that forms the fewest plus-minus
+    ray pairs, ties going to the lowest index; each ray keeps its values on
+    the remaining rows, so the pair counts are kept up to date as rays come
+    and go.  Two rays are adjacent exactly when no third ray's zero set
+    contains the intersection of theirs (Fukuda & Prodon), which holds
+    because the rays stay distinct modulo the lineality.  A popcount bound,
+    dim - |lineality| - 2, filters first.
     """
     lineality: list[IntVector] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
     ]
     rays: dict[IntVector, int] = {}
+    done = 0  # bitmask of the rows inserted so far
+    rest = []
     for k, a in enumerate(rows):
-        bit = 1 << k
         lin_vals = [dot(a, l) for l in lineality]
         cut = next((i for i, v in enumerate(lin_vals) if v != 0), None)
-        if cut is not None:
-            l0 = lineality[cut]
-            d0 = lin_vals[cut]
-            if d0 < 0:
-                l0 = vec_neg(l0)
-                d0 = -d0
-            new_lin = []
-            for i, l in enumerate(lineality):
-                if i == cut:
-                    continue
-                v = lin_vals[i]
-                new_lin.append(primitive(tuple(d0 * li - v * l0i for li, l0i in zip(l, l0))))
-            # l0 is orthogonal to every earlier row, so a ray moved along it keeps
-            # its zero set, and l0 becomes a ray lying on all the earlier rows
-            new_rays = []
-            for r, z in rays.items():
-                v = dot(a, r)
-                new_rays.append((primitive(tuple(d0 * ri - v * l0i for ri, l0i in zip(r, l0))), z | bit))
-            new_rays.append((l0, bit - 1))
-            lineality = new_lin
-            rays = _dedupe(new_rays)
+        if cut is None:
+            rest.append(k)
             continue
-        vals = [(r, z, dot(a, r)) for r, z in rays.items()]
-        plus = [t for t in vals if t[2] > 0]
-        minus = [t for t in vals if t[2] < 0]
-        new_rays = [(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z, v in vals if v == 0]
-        target = dim - len(lineality) - 2
+        l0, d0 = lineality[cut], lin_vals[cut]
+        if d0 < 0:
+            l0, d0 = vec_neg(l0), -d0
+
+        def onto_row(w: IntVector, v: int) -> IntVector:
+            # w moved along l0 onto the hyperplane <a, y> = 0
+            return primitive(tuple(d0 * x - v * y for x, y in zip(w, l0)))
+
+        lineality = [onto_row(l, v) for i, (l, v) in enumerate(zip(lineality, lin_vals)) if i != cut]
+        # l0 is orthogonal to every inserted row, so a ray moved along it keeps
+        # its zero set, and l0 becomes a ray lying on all the inserted rows
+        rays = _dedupe([(onto_row(r, dot(a, r)), z | 1 << k) for r, z in rays.items()] + [(l0, done)])
+        done |= 1 << k
+
+    target = dim - len(lineality) - 2
+    # per remaining row, how many rays lie on its positive and on its negative side
+    sides = {k: [0, 0] for k in rest}
+    vals: dict[IntVector, dict[int, int]] = {}
+
+    def enter(r: IntVector) -> None:
+        vals[r] = {k: dot(rows[k], r) for k in rest}
+        for k, v in vals[r].items():
+            if v:
+                sides[k][v < 0] += 1
+
+    def leave(r: IntVector) -> None:
+        for k, v in vals.pop(r).items():
+            if v and k in sides:
+                sides[k][v < 0] -= 1
+
+    for r in rays:
+        enter(r)
+    while rest:
+        k = min(rest, key=lambda k: sides[k][0] * sides[k][1])
+        rest.remove(k)
+        del sides[k]
+        bit = 1 << k
+        plus = [(r, z, vals[r][k]) for r, z in rays.items() if vals[r][k] > 0]
+        minus = [(r, z, vals[r][k]) for r, z in rays.items() if vals[r][k] < 0]
+        new_rays = [(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z in rays.items() if vals[r][k] == 0]
         for rp, zp, vp in plus:
             for rm, zm, vm in minus:
                 common = zp & zm
@@ -267,8 +261,13 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
                     continue
                 # vp*rm - vm*rp lands exactly on the new hyperplane
                 new_rays.append((primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm))), common | bit))
-        rays = _dedupe(new_rays)
-    return lineality, list(rays)
+        new = _dedupe(new_rays)
+        for r in rays.keys() - new.keys():
+            leave(r)
+        for r in new.keys() - rays.keys():
+            enter(r)
+        rays = new
+    return lineality, rays
 
 
 def _dedupe(rays: Iterable[tuple[IntVector, int]]) -> dict[IntVector, int]:
@@ -276,18 +275,24 @@ def _dedupe(rays: Iterable[tuple[IntVector, int]]) -> dict[IntVector, int]:
     return {r: z for r, z in rays if not is_zero(r)}
 
 
-def _canonical_vrep(lineality: Sequence[IntVector], rays: Sequence[IntVector]):
-    """RREF lineality basis, and the rays reduced modulo it, primitive, deduplicated and sorted."""
+def _canonical_vrep(lineality: Sequence[IntVector], rays: Iterable[IntVector]):
+    """RREF lineality basis, and the rays reduced modulo it, primitive, deduplicated and sorted.
+
+    Each basis row has a positive pivot and zeros in the other rows' pivot
+    columns, so clearing the pivot columns one row at a time in integers
+    leaves the coset representative with zeros in every pivot column.
+    """
     lin = rref_basis(lineality)
-    lin_rref = rref(lin) if lin else []
-    out_rays = []
-    seen: set[IntVector] = set()
+    pivots = [(l, next(j for j, x in enumerate(l) if x)) for l in lin]
+    out: set[IntVector] = set()
     for r in rays:
-        rr = primitive(reduce_mod_rowspace(r, lin_rref)) if lin_rref else r
-        if not is_zero(rr) and rr not in seen:
-            seen.add(rr)
-            out_rays.append(rr)
-    return tuple(lin), tuple(sorted(out_rays))
+        for l, p in pivots:
+            if r[p]:
+                r = tuple(l[p] * x - r[p] * y for x, y in zip(r, l))
+        r = primitive(r)
+        if not is_zero(r):
+            out.add(r)
+    return tuple(lin), tuple(sorted(out))
 
 
 def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone:
@@ -304,10 +309,7 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     The primal's directed generators become the dual's inequality rows; the
     argument is left unchanged.
     """
-    rows = list(cone.directed_generators)
-    lin, rays = _double_description(cone.dim, rows)
-    lin_c, rays_c = _canonical_vrep(lin, rays)
-    return PolyhedralCone(cone.dim, rays_c, lin_c, inequalities=tuple(rows))
+    return cone_from_inequalities(cone.directed_generators, cone.dim)
 
 
 # -- membership ---------------------------------------------------------------
@@ -371,7 +373,9 @@ def contains(cone: PolyhedralCone, x: Sequence) -> bool:
     rows = cone._inequalities
     if rows is not None:
         return all(dot(h, vec) >= 0 for h in rows)
-    return _in_hull(vec, cone.rays, cone.lineality)
+    if cone.is_zero_cone():
+        return is_zero(vec)
+    return _hull_lp(vec, cone.rays, cone.lineality).status == OPTIMAL
 
 
 def verify_membership(cone: PolyhedralCone, x: Sequence, cert: MembershipCertificate) -> bool:

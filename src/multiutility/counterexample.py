@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cones import OUT, MembershipCertificate, cone_from_generators, membership, verify_membership
+from ._linalg import primitive
+from .cones import OUT, MembershipCertificate, PolyhedralCone, membership, verify_membership
 from .linprog import OPTIMAL, CertificateError, ExactLP
 from .measures import Measure, OutcomeSpace
 
@@ -72,9 +73,10 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
     """Exact membership of the anchor in the truncation's cone.
 
     The verdict is OUT at every finite n, with an integer separating
-    functional as certificate.  The generator family is pointed by
-    construction (every generator pays +1 on outcome a), so the cone skips
-    the canonicalizing LP sweep.
+    functional as certificate.  The generators are pointed and pairwise
+    non-parallel by construction (every generator pays +1 on outcome a, and
+    no two share a support), so the cone is built from them directly,
+    without canonicalization.
 
     The functional paying -1 on a, +1 on h(a), +n on each b and -n on each
     h(b) gives every size-s generator -2 + 2n/s >= 0 while the anchor gets
@@ -83,11 +85,7 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
     generic LP route.
     """
     n = trunc.n
-    cone = cone_from_generators(
-        (g.dense() for g in trunc.generators),
-        dim=len(trunc.space),
-        canonicalize=False,
-    )
+    cone = PolyhedralCone(len(trunc.space), sorted(primitive(g.dense()) for g in trunc.generators))
     target = trunc.anchor.dense()
     sep = tuple([-1] + [n] * n + [1] + [-n] * n)
     cert = MembershipCertificate(OUT, separator=sep)

@@ -143,3 +143,52 @@ def oracle_double_description(dim, rows):
             rays = _distinct_nonzero([r for r, v in zip(rays, vals) if v >= 0] + combos)
         processed.append(a)
     return lineality, rays
+
+
+def _primitive_fraction(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return _primitive(tuple(int(x * den) for x in v))
+
+
+def oracle_canonical_hull(generators):
+    """Canonical (lineality basis, extreme rays) of a conic hull, by membership alone.
+
+    A generator lies in the lineality when its negation lies in the hull.
+    The lineality basis is the reduced row echelon form of those generators,
+    each row scaled to coprime integers.  Every other generator is reduced
+    modulo the lineality (its pivot coordinates cleared) and made primitive;
+    of these distinct directions, the extreme rays are the ones outside the
+    hull of the others plus the lineality, which for vectors reduced this
+    way is the hull of the others alone.  Rays come back sorted, in the
+    format of the package's canonical cones.
+    """
+    gens = _distinct_nonzero(_primitive(tuple(g)) for g in generators)
+    lin = [g for g in gens if oracle_membership(gens, [-x for x in g])]
+    basis = []  # reduced row echelon form, pivot entries 1
+    for g in lin:
+        row = [Fraction(x) for x in g]
+        for b in basis:
+            p = next(j for j, x in enumerate(b) if x != 0)
+            row = [x - row[p] * y for x, y in zip(row, b)]
+        p = next((j for j, x in enumerate(row) if x != 0), None)
+        if p is None:
+            continue
+        row = [x / row[p] for x in row]
+        basis = [[x - b[p] * y for x, y in zip(b, row)] for b in basis] + [row]
+    basis.sort(key=lambda b: next(j for j, x in enumerate(b) if x != 0))
+    basis = [_primitive_fraction(b) for b in basis]
+
+    def reduce(g):
+        row = [Fraction(x) for x in g]
+        for b in basis:
+            p = next(j for j, x in enumerate(b) if x != 0)
+            row = [x - row[p] / b[p] * y for x, y in zip(row, b)]
+        return _primitive_fraction(row)
+
+    # reduced vectors vanish on the pivot columns, and so does the lineality
+    # part of any combination of them, which the basis then forces to zero
+    directions = _distinct_nonzero(reduce(g) for g in gens if g not in lin)
+    rays = [d for d in directions if not oracle_membership([e for e in directions if e != d], d)]
+    return tuple(basis), tuple(sorted(rays))

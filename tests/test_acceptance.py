@@ -20,6 +20,7 @@ from multiutility import (
     PreferenceDataset,
     anchor_membership,
     build_truncation,
+    canonical_rep,
     check_increasing,
     check_independence_closure,
     check_uniqueness,
@@ -36,6 +37,7 @@ from multiutility import (
     verify_membership,
 )
 from multiutility.cones import IN, OUT
+from multiutility.linprog import ExactLP
 from multiutility.preferences import build_cone, utilities_agree
 
 from oracles import oracle_decompose, oracle_membership
@@ -73,15 +75,33 @@ def random_dataset(rng):
     return PreferenceDataset(space, statements)
 
 
+def moderate_dataset(n, m):
+    """m random statements on n outcomes, seeded n*100 + m."""
+    rng = random.Random(n * 100 + m)
+    space = OutcomeSpace([f"z{i}" for i in range(n)])
+    return PreferenceDataset(
+        space, tuple((random_lottery(rng, space), random_lottery(rng, space)) for _ in range(m))
+    )
+
+
 def test_dual_ray_counts_of_moderate_datasets():
-    # the (n, m) datasets seeded n*100 + m whose duals take real DD work
+    # the datasets whose duals take real DD work
     for (n, m), count in {(10, 20): 346, (14, 20): 91}.items():
-        rng = random.Random(n * 100 + m)
-        space = OutcomeSpace([f"z{i}" for i in range(n)])
-        dataset = PreferenceDataset(
-            space, tuple((random_lottery(rng, space), random_lottery(rng, space)) for _ in range(m))
-        )
-        assert len(dual_cone(build_cone(dataset)).rays) == count
+        assert len(dual_cone(build_cone(moderate_dataset(n, m))).rays) == count
+
+
+def test_cones_and_representations_are_built_without_an_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(ExactLP, "minimize", no_lp)
+    dataset = moderate_dataset(10, 20)
+    hull = cone_from_generators([(p - q).dense() for p, q in dataset.statements], dim=10)
+    assert len(dual_cone(hull).rays) == 346
+    rep = extract_representation(dataset, "z0")
+    assert rep.cone == hull
+    # twenty of the 346 utilities keep the test fast
+    assert len(canonical_rep(rep.utilities[:20]).rays) == 20
 
 
 def test_criterion_1_bipolar_and_duality_biconditional():

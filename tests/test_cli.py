@@ -246,6 +246,21 @@ def test_seed_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equal-reps", "--pin", "a"],
+        ["equal-reps", "--verify"],
+        ["decompose", "--pin", "a"],
+        ["counterexample", "--n", "2", "--pin", "a"],
+    ],
+)
+def test_flags_a_verb_does_not_offer_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
 def test_failed_recheck_is_an_internal_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cones, "verify_membership", lambda *args: False)
     data = write(tmp_path, "chain.json", CHAIN)

@@ -30,7 +30,7 @@ from multiutility.cones import (
 )
 from multiutility.measures import Measure, expectation
 
-from oracles import oracle_double_description, oracle_membership
+from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership
 
 
 def test_empty_generators_give_zero_cone():
@@ -305,3 +305,33 @@ def test_double_description_agrees_with_rank_test_oracle():
         assert _canonical_vrep(*_double_description(dim, rows)) == _canonical_vrep(
             *oracle_double_description(dim, rows)
         ), (dim, rows)
+
+
+def _messy_generators(rng, dim):
+    """Random integer generators with duplicates, scaled copies, two-sided pairs and zero vectors."""
+    gens = []
+    for _ in range(rng.randint(0, dim)):
+        g = tuple(rng.randint(-2, 2) for _ in range(dim))
+        gens.append(g)
+        roll = rng.random()
+        if roll < 0.15:
+            gens.append(g)
+        elif roll < 0.3:
+            gens.append(tuple(rng.randint(2, 3) * x for x in g))
+        elif roll < 0.45:
+            gens.append(tuple(-x for x in g))
+    if rng.random() < 0.3:
+        gens.append((0,) * dim)
+    return gens
+
+
+def test_canonical_hull_agrees_with_membership_oracle_and_ignores_order():
+    rng = random.Random(5151)
+    for _ in range(80):
+        dim = rng.randint(2, 6)
+        gens = _messy_generators(rng, dim)
+        c = cone_from_generators(gens, dim=dim)
+        assert (c.lineality, c.rays) == oracle_canonical_hull(gens), (dim, gens)
+        for _ in range(3):
+            rng.shuffle(gens)
+            assert cone_from_generators(gens, dim=dim) == c, (dim, gens)
