@@ -21,7 +21,6 @@ from .cones import (
     contains,
     dual_cone,
     membership,
-    quotient_by_constants,
     verify_membership,
 )
 from .counterexample import (
@@ -50,7 +49,6 @@ from .measures import (
     expectation,
     mix,
     norm,
-    restrict,
 )
 from .preferences import (
     ENTAILED_ONLY,

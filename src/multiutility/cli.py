@@ -3,8 +3,11 @@
 Verbs consume JSON files and emit deterministic JSON (or CSV for the lab
 table): byte-identical output for identical inputs.  Errors leave a
 machine-readable JSON object on stderr and a nonzero exit code.  With
---verify every emitted certificate is recomputed from scratch by plain
-arithmetic before the output is written.
+--verify every emitted certificate is rechecked by plain arithmetic before
+the output is written.  The lab table is built once per size; --verify
+rechecks each size's OUT certificate against that size's own construction,
+in integers: the separator must pay >= 0 on every generator and < 0 on the
+anchor, and the separation cost must exceed n - 2 and never decrease.
 """
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from ._linalg import clear_denominators, dot
-from .cones import CertificateError, verify_membership
-from .counterexample import anchor_membership, build_truncation, lab_table
+from .cones import OUT, CertificateError, verify_membership
+from .counterexample import _lab
 from .jsonio import (
     SchemaError,
     dump_json,
@@ -130,6 +133,16 @@ def _verify_verdict(rep, p, q, verdict) -> None:
         raise VerificationError("utility-by-utility classification disagrees with cone verdict")
 
 
+def _verify_anchor_separation(trunc, cert) -> None:
+    # the separator must pay >= 0 on every generator and < 0 on the anchor;
+    # clearing denominators scales each vector positively, keeping the sign
+    def pays(m):
+        return dot(cert.separator, clear_denominators(m.dense())[0])
+
+    if cert.verdict != OUT or pays(trunc.anchor) >= 0 or any(pays(g) < 0 for g in trunc.generators):
+        raise VerificationError(f"anchor certificate at n={trunc.n} failed recheck")
+
+
 def _run(args) -> str:
     verb = args.verb
 
@@ -216,23 +229,18 @@ def _run(args) -> str:
         )
 
     if verb == "counterexample":
-        rows = lab_table(args.n)
-        if args.verify:
-            prev = Fraction(-1)
-            for n, _count, verdict, cost in rows:
-                trunc = build_truncation(n)
-                cert = anchor_membership(trunc)
-                cone_ok = verdict == cert.verdict == "OUT"
-                if not cone_ok:
-                    raise VerificationError(f"anchor verdict at n={n} failed recheck")
+        lines = ["n,generators,anchor,cost"]
+        prev = Fraction(-1)
+        for trunc, cert, cost in _lab(args.n):
+            n = trunc.n
+            if args.verify:
+                _verify_anchor_separation(trunc, cert)
                 if n >= 2 and not cost > n - 2:
                     raise VerificationError(f"separation cost at n={n} violates its growth bound")
                 if cost < prev:
                     raise VerificationError(f"separation cost decreased at n={n}")
                 prev = cost
-        lines = ["n,generators,anchor,cost"]
-        for n, count, verdict, cost in rows:
-            lines.append(f"{n},{count},{verdict},{rational_to_str(cost)}")
+            lines.append(f"{n},{len(trunc.generators)},{cert.verdict},{rational_to_str(cost)}")
         return "\n".join(lines) + "\n"
 
     raise UsageError(f"unknown verb {verb!r}")

@@ -438,12 +438,3 @@ def canonical_rep(utilities: Iterable[Utility]) -> PolyhedralCone:
     neg_ones = [-1] * n
     return cone_from_generators([u.values for u in us] + [ones, neg_ones], dim=n)
 
-
-def quotient_by_constants(u: Utility, pin: str) -> Utility:
-    """Shift a utility by a constant so the pinned outcome's payoff is zero.
-
-    The shifted utility ranks every pair of lotteries exactly as the original
-    does, since expectations against a lottery difference ignore constants.
-    """
-    level = u.value(pin)
-    return Utility(u.space, [v - level for v in u.values])

@@ -211,31 +211,6 @@ def cone_to_json(cone: PolyhedralCone) -> dict:
     }
 
 
-def parse_cone(obj: Any, path: str = "cone") -> PolyhedralCone:
-    root = _expect_dict(obj, path)
-    if "dim" not in root:
-        raise SchemaError("missing key", f"{path}.dim")
-    dim = root["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise SchemaError(f"dim must be a positive integer, got {dim!r}", f"{path}.dim")
-
-    def rows(key: str) -> list[tuple[int, ...]]:
-        out = []
-        for i, row in enumerate(_expect_list(root.get(key, []), f"{path}.{key}")):
-            vec = _expect_list(row, f"{path}.{key}[{i}]")
-            ints = []
-            for j, v in enumerate(vec):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise SchemaError(f"expected an integer, got {v!r}", f"{path}.{key}[{i}][{j}]")
-                ints.append(v)
-            if len(ints) != dim:
-                raise SchemaError(f"expected {dim} entries, got {len(ints)}", f"{path}.{key}[{i}]")
-            out.append(tuple(ints))
-        return out
-
-    return PolyhedralCone(dim, rows("generators"), rows("lineality"))
-
-
 def representation_to_json(rep: Representation) -> dict:
     return {
         "utilities": [utility_to_json(u) for u in rep.utilities],

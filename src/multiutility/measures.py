@@ -255,11 +255,6 @@ class Utility:
     def constant(cls, space: OutcomeSpace, level: RationalLike = 1) -> "Utility":
         return cls(space, [as_fraction(level)] * len(space))
 
-    @classmethod
-    def indicator(cls, space: OutcomeSpace, label: str) -> "Utility":
-        i = space.position(label)
-        return cls(space, [Fraction(int(j == i)) for j in range(len(space))])
-
     def value(self, label: str) -> Fraction:
         return self.values[self.space.position(label)]
 
@@ -351,15 +346,6 @@ def decompose(x: Measure) -> Decomposition:
     alpha = plus.total()
     inv = 1 / alpha
     return Decomposition(alpha, Lottery(plus.scale(inv)), Lottery(minus.scale(inv)))
-
-
-def restrict(u: Utility, keep: Iterable[str]) -> Utility:
-    """Zero the payoff outside ``keep``; labels must belong to the space."""
-    indices = {u.space.position(z) for z in keep}
-    return Utility(
-        u.space,
-        [v if i in indices else Fraction(0) for i, v in enumerate(u.values)],
-    )
 
 
 def mix(alpha: RationalLike, p: Lottery, q: Lottery) -> Lottery:

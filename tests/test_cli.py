@@ -4,12 +4,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 from types import ModuleType
 
 import pytest
 
 import multiutility
-from multiutility import Utility, cli, cones
+from multiutility import Utility, cli, cones, counterexample
 from multiutility.cli import main
 
 CHAIN = {
@@ -154,6 +155,51 @@ def test_counterexample_csv():
     code, out, err = run_cli("counterexample", "--n", "4", "--verify")
     assert code == 0 and err == ""
     assert out == "n,generators,anchor,cost\n1,1,OUT,0\n2,3,OUT,1\n3,7,OUT,2\n4,15,OUT,3\n"
+
+
+def test_counterexample_verify_rechecks_each_size_from_its_own_certificate(monkeypatch):
+    built, certified = [], []
+    build, anchor = counterexample.build_truncation, counterexample.anchor_membership
+
+    def counted_build(n):
+        built.append(n)
+        return build(n)
+
+    def counted_anchor(trunc):
+        certified.append(trunc.n)
+        return anchor(trunc)
+
+    # count calls from every module that binds the functions, not only their home
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "multiutility"]:
+        for attr, value in list(vars(module).items()):
+            if value is build or value is anchor:
+                monkeypatch.setattr(module, attr, counted_build if value is build else counted_anchor)
+    assert run_cli("counterexample", "--n", "4", "--verify")[0] == 0
+    assert built == certified == [1, 2, 3, 4]
+
+    def fails_recheck(message):
+        code, out, err = run_cli("counterexample", "--n", "4", "--verify")
+        assert code == 1 and out == ""
+        body = json.loads(err)["error"]
+        assert body["kind"] == "verify" and body["message"] == message
+
+    def certify_with(cert):
+        monkeypatch.setattr(counterexample, "anchor_membership", lambda trunc: cert(trunc.n))
+
+    # pays -2 + 2/|B| on g(B): 0 on singletons, -1 on g({b1, b2}) alone at n = 2
+    certify_with(lambda n: cones.MembershipCertificate(cones.OUT, separator=(-1, *[1] * n, 1, *[-1] * n)))
+    fails_recheck("anchor certificate at n=2 failed recheck")
+    # pays 0 on the anchor
+    certify_with(lambda n: cones.MembershipCertificate(cones.OUT, separator=(0,) * (2 * n + 2)))
+    fails_recheck("anchor certificate at n=1 failed recheck")
+    certify_with(lambda n: cones.MembershipCertificate(cones.IN, combination=()))
+    fails_recheck("anchor certificate at n=1 failed recheck")
+
+    monkeypatch.setattr(counterexample, "anchor_membership", anchor)
+    monkeypatch.setattr(counterexample, "separation_cost", lambda trunc: Fraction(10 - trunc.n))
+    fails_recheck("separation cost decreased at n=2")
+    monkeypatch.setattr(counterexample, "separation_cost", lambda trunc: Fraction(0))
+    fails_recheck("separation cost at n=2 violates its growth bound")
 
 
 def test_counterexample_range():

@@ -25,10 +25,8 @@ from multiutility.cones import (
     contains,
     dual_cone,
     membership,
-    quotient_by_constants,
     verify_membership,
 )
-from multiutility.measures import Measure, expectation
 
 from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership
 
@@ -183,18 +181,6 @@ def test_canonical_rep_convex_midpoint():
     assert cone_equal(canonical_rep(u), canonical_rep(v))
     with pytest.raises(EmptyUtilitySetError):
         canonical_rep([])
-
-
-def test_quotient_by_constants():
-    sp = OutcomeSpace(["a", "b", "c"])
-    two = OutcomeSpace(["a", "b"])
-    assert quotient_by_constants(Utility(two, [5, 5]), "a").values == (0, 0)
-    assert quotient_by_constants(Utility(sp, [3, 1, 0]), "c").values == (3, 1, 0)
-    shifted = quotient_by_constants(Utility(sp, [3, 1, 0]), "a")
-    assert shifted.values == (0, -2, -3)
-    # zero-sum pairings are unchanged by the quotient
-    x = Measure.from_values(sp, [1, -1, 0])
-    assert expectation(x, shifted) == expectation(x, Utility(sp, [3, 1, 0]))
 
 
 def test_random_bipolar():

@@ -11,6 +11,7 @@ from multiutility import (
     separation_cost,
 )
 from multiutility.cones import OUT
+from multiutility.measures import Measure
 from multiutility.counterexample import _separation_cost_primal
 from itertools import combinations
 
@@ -33,6 +34,25 @@ def test_build_pair_weights():
     assert g.value("b1") == Fraction(1, 4)
     assert g.value("b2") == Fraction(1, 4)
     assert g.value("h(b1)") == Fraction(-1, 4)
+
+
+def test_build_matches_the_definition():
+    # g(B) = e(a) + sum over b in B of e(b) / |B|^2, by plain measure arithmetic
+    for n in range(1, 9):
+        t = build_truncation(n)
+
+        def e(label):
+            return Measure.from_mapping(t.space, {label: 1, f"h({label})": -1})
+
+        expected = []
+        for size in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                g = e("a")
+                for i in subset:
+                    g = g + e(f"b{i}").scale(Fraction(1, size * size))
+                expected.append(g)
+        assert t.anchor == e("a")
+        assert t.generators == tuple(expected)
 
 
 def test_build_counts_and_zero_sum():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multiutility import jsonio as J
-from multiutility.cones import cone_equal, cone_from_generators, membership
+from multiutility.cones import cone_from_generators, membership
 from multiutility.measures import Lottery, OutcomeSpace, Utility
 from multiutility.preferences import extract_representation, query
 
@@ -113,22 +113,6 @@ def test_parse_utility_set():
         J.parse_utility_set({"outcomes": ["a", "b"], "utilities": []})
     with pytest.raises(J.SchemaError):
         J.parse_utility_set({"outcomes": ["a", "b"], "utilities": [["1"]]})
-
-
-def test_cone_round_trip():
-    c = cone_from_generators([(1, -1, 0), (0, 1, -1)])
-    back = J.parse_cone(J.cone_to_json(c))
-    assert cone_equal(back, c)
-    with_lin = cone_from_generators([(1, 1), (-1, -1), (1, 0)])
-    assert cone_equal(J.parse_cone(J.cone_to_json(with_lin)), with_lin)
-
-
-def test_cone_entries_must_be_integers():
-    for bad_entry in ("1/2", 0.5, "x"):
-        with pytest.raises(J.SchemaError):
-            J.parse_cone({"dim": 2, "generators": [[bad_entry, 1]], "lineality": []})
-    with pytest.raises(J.SchemaError):
-        J.parse_cone({"dim": 2, "generators": [[1, 0, 0]], "lineality": []})
 
 
 def test_representation_shape():

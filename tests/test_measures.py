@@ -18,7 +18,6 @@ from multiutility import (
     expectation,
     mix,
     norm,
-    restrict,
 )
 
 AB = OutcomeSpace(["a", "b"])
@@ -165,16 +164,6 @@ def test_decompose_round_trip():
         d = decompose(x)
         assert (d.plus - d.minus).scale(d.alpha) == x
         assert not set(d.plus.support()) & set(d.minus.support())
-
-
-def test_restrict():
-    u = Utility(ABC, [3, 7, 5])
-    assert restrict(u, ["a", "c"]).values == (3, 0, 5)
-    e = Utility.constant(ABC, 1)
-    assert restrict(e, ["b"]) == Utility.indicator(ABC, "b")
-    assert restrict(u, ABC.outcomes) == u
-    with pytest.raises(UnknownOutcomeError):
-        restrict(u, ["z"])
 
 
 def test_mix():
