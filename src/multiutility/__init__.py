@@ -29,6 +29,7 @@ from .counterexample import (
     anchor_membership,
     build_truncation,
     inequality_chain,
+    lab,
     lab_table,
     separation_cost,
 )

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from ._linalg import clear_denominators, dot
 from .cones import OUT, CertificateError, verify_membership
-from .counterexample import _lab
+from .counterexample import lab
 from .jsonio import (
     SchemaError,
     dump_json,
@@ -139,7 +139,13 @@ def _verify_anchor_separation(trunc, cert) -> None:
     def pays(m):
         return dot(cert.separator, clear_denominators(m.dense())[0])
 
-    if cert.verdict != OUT or pays(trunc.anchor) >= 0 or any(pays(g) < 0 for g in trunc.generators):
+    if (
+        cert.verdict != OUT
+        or cert.separator is None
+        or len(cert.separator) != len(trunc.space)
+        or pays(trunc.anchor) >= 0
+        or any(pays(g) < 0 for g in trunc.generators)
+    ):
         raise VerificationError(f"anchor certificate at n={trunc.n} failed recheck")
 
 
@@ -231,7 +237,7 @@ def _run(args) -> str:
     if verb == "counterexample":
         lines = ["n,generators,anchor,cost"]
         prev = Fraction(-1)
-        for trunc, cert, cost in _lab(args.n):
+        for trunc, cert, cost in lab(args.n):
             n = trunc.n
             if args.verify:
                 _verify_anchor_separation(trunc, cert)
@@ -241,6 +247,8 @@ def _run(args) -> str:
                     raise VerificationError(f"separation cost decreased at n={n}")
                 prev = cost
             lines.append(f"{n},{len(trunc.generators)},{cert.verdict},{rational_to_str(cost)}")
+            # hold no construction while lab builds the next size
+            del trunc
         return "\n".join(lines) + "\n"
 
     raise UsageError(f"unknown verb {verb!r}")

@@ -42,6 +42,10 @@ class TruncatedConstruction:
     generators: tuple[Measure, ...]
 
 
+def _pair_difference(space: OutcomeSpace, label: str) -> Measure:
+    return Measure.from_mapping(space, {label: 1, f"h({label})": -1})
+
+
 def build_truncation(n: int) -> TruncatedConstruction:
     """Construct the size-n truncation; generator count is 2^n - 1.
 
@@ -52,17 +56,16 @@ def build_truncation(n: int) -> TruncatedConstruction:
         raise TruncationRangeError(f"truncation size must be an integer in 1..{MAX_TRUNCATION}, got {n!r}")
     labels = ["a"] + [f"b{i}" for i in range(1, n + 1)]
     space = OutcomeSpace(labels + [f"h({z})" for z in labels])
-    # a sits at index 0 and bi at index i; each image h(x) sits n + 1 after x
-    anchor = Measure(space, {0: 1, n + 1: -1})
+    anchor = _pair_difference(space, "a")
+    singles = [_pair_difference(space, f"b{i}") for i in range(1, n + 1)]
     generators = []
     for size in range(1, n + 1):
         weight = Fraction(1, size * size)
-        for subset in combinations(range(1, n + 1), size):
-            entries = {0: 1, n + 1: -1}
+        for subset in combinations(range(n), size):
+            total = anchor
             for i in subset:
-                entries[i] = weight
-                entries[i + n + 1] = -weight
-            generators.append(Measure(space, entries))
+                total = total + singles[i].scale(weight)
+            generators.append(total)
     return TruncatedConstruction(n, space, anchor, tuple(generators))
 
 
@@ -156,19 +159,23 @@ def inequality_chain(k0: int, b_size: int) -> Fraction:
     return Fraction(k0) / b + b * (1 / (b * b) - 1 / b)
 
 
-def _lab(n_max: int):
+def lab(n_max: int):
     """Yield (construction, anchor certificate, separation cost) for n = 1..n_max.
 
     Each size is built and certified once, when the caller asks for it, so
-    a caller that streams the rows never holds the whole lab at once.
+    a caller that streams the rows never holds the whole lab at once.  The
+    counterexample verb streams it and rechecks each certificate against
+    its own construction; lab_table is its list of rows.
     """
     if not isinstance(n_max, int) or not 1 <= n_max <= MAX_TRUNCATION:
         raise TruncationRangeError(f"truncation size must be an integer in 1..{MAX_TRUNCATION}, got {n_max!r}")
     for n in range(1, n_max + 1):
         trunc = build_truncation(n)
         yield trunc, anchor_membership(trunc), separation_cost(trunc)
+        # let this size go before the next, larger one is built
+        del trunc
 
 
 def lab_table(n_max: int) -> list[tuple[int, int, str, Fraction]]:
     """Rows (n, generator count, anchor verdict, separation cost) for n = 1..n_max."""
-    return [(t.n, len(t.generators), cert.verdict, cost) for t, cert, cost in _lab(n_max)]
+    return [(t.n, len(t.generators), cert.verdict, cost) for t, cert, cost in lab(n_max)]

@@ -194,6 +194,11 @@ def test_counterexample_verify_rechecks_each_size_from_its_own_certificate(monke
     fails_recheck("anchor certificate at n=1 failed recheck")
     certify_with(lambda n: cones.MembershipCertificate(cones.IN, combination=()))
     fails_recheck("anchor certificate at n=1 failed recheck")
+    # no separator, and one of the wrong length
+    certify_with(lambda n: cones.MembershipCertificate(cones.OUT))
+    fails_recheck("anchor certificate at n=1 failed recheck")
+    certify_with(lambda n: cones.MembershipCertificate(cones.OUT, separator=(-1, *[n] * n, 1, *[-n] * n, 0)))
+    fails_recheck("anchor certificate at n=1 failed recheck")
 
     monkeypatch.setattr(counterexample, "anchor_membership", anchor)
     monkeypatch.setattr(counterexample, "separation_cost", lambda trunc: Fraction(10 - trunc.n))
