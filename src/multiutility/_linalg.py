@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -19,10 +20,9 @@ def vec_neg(a: Sequence) -> Vector:
 
 def dot(a: Sequence, b: Sequence):
     """Exact inner product of two equal-length vectors."""
-    total = 0
-    for x, y in zip(a, b, strict=True):
-        total += x * y
-    return total
+    if len(a) != len(b):
+        raise ValueError(f"cannot pair vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def is_zero(a: Sequence) -> bool:

@@ -1,12 +1,13 @@
 """Polyhedral cones over the rationals: construction, duality, membership.
 
 A cone is stored as a lineality basis plus pointed-part rays, every vector a
-primitive integer tuple.  Duals are computed by the double description
-method: generators of the primal become inequality rows, inserted
-incrementally starting from the full space; adjacency of rays is decided
-by containment between the bitmasks of rows they lie on.  The same pass
-canonicalizes a hull of generators: its lineality and extreme rays are read
-off the dual rays' zero sets, so building a cone never runs an LP.
+primitive integer tuple.  ``cone_from_inequalities`` is the one double
+description pass: rows are inserted incrementally starting from the full
+space, and adjacency of rays is decided by containment between the bitmasks
+of rows they lie on.  The other direction needs no pass: the dual of
+{x : Hx >= 0} is cone(H), whose lineality and extreme rays ``dual_cone``
+reads off the rays' zero sets.  A hull of generators is read off the cone
+they cut out in the same way, so building a cone never runs an LP.
 Membership runs an exact feasibility LP and returns a checkable certificate
 either way: conic coefficients when the vector lies inside, an integer
 separating functional when it does not.
@@ -144,33 +145,18 @@ def _coerce_vector(x: Sequence, dim: int) -> tuple[Fraction, ...]:
 def cone_from_generators(vectors: Iterable[Sequence], dim: int | None = None) -> PolyhedralCone:
     """Canonical conic hull of rational vectors.
 
-    Generators are scaled to primitive integer vectors and deduplicated, and
-    one double description pass computes the dual cone with them as rows.
-    The hull's canonical form is read off the dual rays' zero sets, with no
-    LP: a generator lies in the lineality when every dual ray lies on it, and
-    spans an extreme ray when no other generator outside the lineality lies
-    on a strictly larger set of dual rays.  The lineality becomes a reduced
-    echelon basis and the extreme rays are reduced modulo it, made primitive
-    and sorted, so equal cones get equal representatives.
+    The generators become the rows of :func:`cone_from_inequalities`, the
+    one double description pass, and :func:`dual_cone` reads their hull back
+    off that cone's rays, with no LP.  The hull is returned without rows, so
+    membership separates through the LP's Farkas functional.
     """
     vecs = list(vectors)
     if dim is None:
         if not vecs:
             raise DimensionMismatchError("dim is required when no generators are given")
         dim = len(vecs[0])
-    prims = [g for g in dict.fromkeys(primitive(_coerce_vector(v, dim)) for v in vecs) if not is_zero(g)]
-    _, dual = _double_description(dim, prims)
-    # tight[i]: bitmask of the dual rays that lie on generator i
-    tight = [sum(1 << j for j, z in enumerate(dual.values()) if z >> i & 1) for i in range(len(prims))]
-    every = (1 << len(dual)) - 1
-    pointed = {t for t in tight if t != every}
-    lineality = [g for g, t in zip(prims, tight) if t == every]
-    rays = [
-        g for g, t in zip(prims, tight)
-        if t != every and not any(s != t and s & t == t for s in pointed)
-    ]
-    lin_c, rays_c = _canonical_vrep(lineality, rays)
-    return PolyhedralCone(dim, rays_c, lin_c)
+    hull = dual_cone(cone_from_inequalities(vecs, dim))
+    return PolyhedralCone(dim, hull.rays, hull.lineality)
 
 
 def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVector]) -> LPResult:
@@ -296,20 +282,41 @@ def _canonical_vrep(lineality: Sequence[IntVector], rays: Iterable[IntVector]):
 
 
 def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone:
-    """Cone of all x with <row, x> >= 0 for every row, converted to rays."""
-    int_rows = [primitive(_coerce_vector(r, dim)) for r in rows]
+    """Cone of all x with <row, x> >= 0 for every row, converted to rays.
+
+    Rows are scaled to primitive integers, and zero rows and repeats are
+    dropped, first occurrences kept in order, so the first violated row is
+    the same.  This is the one double description pass: every other
+    conversion reads its answer off a cone built here.
+    """
+    int_rows = [h for h in dict.fromkeys(primitive(_coerce_vector(r, dim)) for r in rows) if not is_zero(h)]
     lin, rays = _double_description(dim, int_rows)
     lin_c, rays_c = _canonical_vrep(lin, rays)
     return PolyhedralCone(dim, rays_c, lin_c, inequalities=tuple(int_rows))
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
-    """All y pairing nonnegatively with the cone; computed by double description.
+    """All y pairing nonnegatively with the cone; the cone's directed generators are its rows.
 
-    The primal's directed generators become the dual's inequality rows; the
-    argument is left unchanged.
+    A cone built with rows H is {x : Hx >= 0}, so its dual is cone(H), read
+    off the rays' zero sets with no double description: a row lies in the
+    lineality when every ray lies on it, and spans an extreme ray when no
+    other row outside the lineality lies on a strictly larger set of rays.
+    The lineality becomes a reduced echelon basis and the extreme rays are
+    reduced modulo it, made primitive and sorted.  A cone without rows goes
+    through :func:`cone_from_inequalities`.  The argument is left unchanged.
     """
-    return cone_from_inequalities(cone.directed_generators, cone.dim)
+    rows = cone._inequalities
+    if rows is None:
+        return cone_from_inequalities(cone.directed_generators, cone.dim)
+    # tight[i]: bitmask of the rays that lie on row i
+    tight = [sum(1 << j for j, r in enumerate(cone.rays) if not dot(h, r)) for h in rows]
+    every = (1 << len(cone.rays)) - 1
+    pointed = {t for t in tight if t != every}
+    lineality = [h for h, t in zip(rows, tight) if t == every]
+    rays = [h for h, t in zip(rows, tight) if t != every and not any(s != t and s & t == t for s in pointed)]
+    lin_c, rays_c = _canonical_vrep(lineality, rays)
+    return PolyhedralCone(cone.dim, rays_c, lin_c, inequalities=cone.directed_generators)
 
 
 # -- membership ---------------------------------------------------------------

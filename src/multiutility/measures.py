@@ -38,6 +38,7 @@ class NotLotteryError(ValueError):
 
 
 RationalLike = Union[int, str, Fraction]
+_ZERO = Fraction(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -136,17 +137,17 @@ class Measure:
         return cls(space, dict(enumerate(values)))
 
     def value(self, label: str) -> Fraction:
-        return self.entries.get(self.space.position(label), Fraction(0))
+        return self.entries.get(self.space.position(label), _ZERO)
 
     def dense(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries.get(i, Fraction(0)) for i in range(len(self.space)))
+        return tuple(self.entries.get(i, _ZERO) for i in range(len(self.space)))
 
     def support(self) -> tuple[str, ...]:
         """Labels carrying nonzero mass, in canonical order."""
         return tuple(self.space.outcomes[i] for i in sorted(self.entries))
 
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return sum(self.entries.values(), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -165,7 +166,7 @@ class Measure:
         _same_space(self.space, other.space)
         merged = dict(self.entries)
         for i, v in other.entries.items():
-            merged[i] = merged.get(i, Fraction(0)) + v
+            merged[i] = merged.get(i, _ZERO) + v
         return Measure(self.space, merged)
 
     def __sub__(self, other: "Measure") -> "Measure":
@@ -312,7 +313,7 @@ def expectation(p: MeasureLike, u: Utility) -> Fraction:
     """
     m = _as_measure(p)
     _same_space(m.space, u.space)
-    total = Fraction(0)
+    total = _ZERO
     for i, v in m.entries.items():
         total += u.values[i] * v
     return total
@@ -320,7 +321,7 @@ def expectation(p: MeasureLike, u: Utility) -> Fraction:
 
 def norm(x: MeasureLike) -> Fraction:
     """Total-variation norm: sum of absolute values of the entries."""
-    return sum((abs(v) for v in _as_measure(x).entries.values()), Fraction(0))
+    return sum((abs(v) for v in _as_measure(x).entries.values()), _ZERO)
 
 
 def decompose(x: Measure) -> Decomposition:

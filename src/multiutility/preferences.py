@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ._linalg import is_zero, primitive, vec_neg
+from ._linalg import is_zero, primitive
 from .cones import (
     DimensionMismatchError,
     MembershipCertificate,
     PolyhedralCone,
     canonical_rep,
     cone_from_generators,
+    cone_from_inequalities,
     contains,
     dual_cone,
     membership,
@@ -79,11 +80,13 @@ class Representation:
     """Multi-utility representation extracted from a dataset.
 
     ``utilities`` is never empty; each one is pinned to payoff zero at
-    ``pin``.  ``cone`` is the canonical cone of the data's difference
-    vectors, built with ``dual.directed_generators`` as its inequality rows,
-    so membership answers OUT with the first row the queried vector
-    violates.  ``dual`` is its dual cone in the ambient coordinate space
-    (its lineality always contains the constant direction).
+    ``pin``.  ``dual`` is the utility cone {u : E_p[u] >= E_q[u] for every
+    statement} in the ambient coordinate space, built by one double
+    description pass with the difference vectors p - q as its rows; its
+    lineality always contains the constant direction.  ``cone``, the data
+    cone those differences span, is read off it by ``dual_cone``: canonical,
+    with ``dual.directed_generators`` as its inequality rows, so membership
+    answers OUT with the first row the queried vector violates.
     """
 
     space: OutcomeSpace
@@ -111,39 +114,21 @@ def build_cone(dataset: PreferenceDataset) -> PolyhedralCone:
 def extract_representation(dataset: PreferenceDataset, pin: str) -> Representation:
     """Compute the finite utility set representing the data's entailments.
 
-    The dual cone is computed by double description; its pointed rays, and
-    both directions of any non-constant lineality, are shifted so the pinned
-    outcome pays zero, rescaled to primitive integers, deduplicated and
-    sorted.  When nothing survives (the data identify all lotteries), the
+    One double description pass over the statement differences builds the
+    utility cone, and ``dual_cone`` reads the data cone off its rays.  The
+    utility cone's rays, and both directions of its lineality, are shifted
+    so the pinned outcome pays zero, rescaled to primitive integers,
+    deduplicated and sorted; the constant direction shifts to zero and
+    drops out.  When nothing survives (the data identify all lotteries), the
     zero utility alone is returned so the set is never empty.
     """
     space = dataset.space
     pin_index = space.position(pin)
-    hull = build_cone(dataset)
-    dual = dual_cone(hull)
-    cone = PolyhedralCone(hull.dim, hull.rays, hull.lineality, inequalities=dual.directed_generators)
-
-    ones = tuple(1 for _ in range(len(space)))
-    vectors: list[tuple[int, ...]] = []
-
-    def add(v) -> None:
-        shifted = tuple(x - v[pin_index] for x in v)
-        p = primitive(shifted)
-        if not is_zero(p) and p not in seen:
-            seen.add(p)
-            vectors.append(p)
-
-    seen: set[tuple[int, ...]] = set()
-    for r in dual.rays:
-        add(r)
-    for l in dual.lineality:
-        add(l)
-        add(vec_neg(l))
-    vectors.sort()
-    if not vectors:
-        vectors.append(tuple(0 for _ in ones))
+    dual = cone_from_inequalities([(p - q).dense() for p, q in dataset.statements], len(space))
+    shifted = {primitive(tuple(x - v[pin_index] for x in v)) for v in dual.directed_generators}
+    vectors = sorted(v for v in shifted if not is_zero(v)) or [(0,) * len(space)]
     utilities = tuple(Utility(space, v) for v in vectors)
-    return Representation(space, utilities, cone, dual, pin)
+    return Representation(space, utilities, dual_cone(dual), dual, pin)
 
 
 def _classify(forward_in: bool, backward_in: bool) -> str:

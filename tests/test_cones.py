@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from multiutility import OutcomeSpace, Utility
+import multiutility.cones as cones
+from multiutility import Lottery, OutcomeSpace, PreferenceDataset, Utility, extract_representation
 from multiutility.cones import (
     IN,
     OUT,
+    PolyhedralCone,
     _canonical_vrep,
     _double_description,
     CertificateError,
@@ -321,3 +323,65 @@ def test_canonical_hull_agrees_with_membership_oracle_and_ignores_order():
         for _ in range(3):
             rng.shuffle(gens)
             assert cone_from_generators(gens, dim=dim) == c, (dim, gens)
+
+
+def _spy_on_double_description(monkeypatch):
+    """The rows of every double description pass, one list per pass."""
+    calls = []
+    real = cones._double_description
+
+    def spy(dim, rows):
+        calls.append(list(rows))
+        return real(dim, rows)
+
+    monkeypatch.setattr(cones, "_double_description", spy)
+    return calls
+
+
+def test_one_double_description_pass_per_representation_and_hull(monkeypatch):
+    calls = _spy_on_double_description(monkeypatch)
+    space = OutcomeSpace(["a", "b", "c", "d"])
+    p, q, r = (Lottery.from_values(space, v) for v in ([1, 0, 0, 0], ["1/2", "1/2", 0, 0], [0, 0, "1/3", "2/3"]))
+    rep = extract_representation(PreferenceDataset(space, ((p, q), (q, r), (q, q), (p, q))), "d")
+    assert len(calls) == 1
+    hull = cone_from_generators([(1, -1, 0, 0), (0, 2, -2, 0), (0, 0, 0, 0), (0, -1, 1, 0)])
+    assert len(calls) == 2
+    for with_rows in (rep.cone, rep.dual, dual_cone(rep.dual)):
+        dual_cone(with_rows)
+    assert len(calls) == 2
+    dual_cone(hull)  # a hull carries no rows, so its dual takes a pass
+    assert len(calls) == 3
+
+
+def test_double_description_gets_no_zero_or_repeated_row(monkeypatch):
+    calls = _spy_on_double_description(monkeypatch)
+    rng = random.Random(6161)
+    for _ in range(80):
+        dim = rng.randint(1, 6)
+        rows = _messy_generators(rng, dim)
+        c = cone_from_inequalities(rows, dim)
+        (passed,) = calls
+        assert all(any(h) for h in passed) and len(set(passed)) == len(passed), rows
+        assert c._inequalities == tuple(passed)
+        padded = list(rows)
+        padded.insert(rng.randint(0, len(padded)), (0,) * dim)
+        if rows:
+            k = rng.randrange(len(padded))
+            padded.insert(rng.randint(k + 1, len(padded)), tuple(2 * x for x in padded[k]))
+        again = cone_from_inequalities(padded, dim)
+        assert (again, again._inequalities) == (c, c._inequalities), (rows, padded)
+        calls.clear()
+
+
+def test_dual_read_off_the_rows_equals_the_double_description_dual(monkeypatch):
+    calls = _spy_on_double_description(monkeypatch)
+    rng = random.Random(7272)
+    for trial in range(120):
+        dim = rng.randint(1, 7)
+        rows = _messy_generators(rng, dim) if trial % 2 else _late_cut_rows(rng, dim)
+        c = cone_from_inequalities(rows, dim)
+        via_dd = dual_cone(PolyhedralCone(c.dim, c.rays, c.lineality))
+        passes = len(calls)
+        read = dual_cone(c)
+        assert len(calls) == passes
+        assert (read, read._inequalities) == (via_dd, via_dd._inequalities), (dim, rows)

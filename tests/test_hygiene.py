@@ -1,10 +1,13 @@
-"""Source hygiene: every imported name is used by the module that imports it.
+"""Source hygiene: every imported name is used by the module that imports
+it, and every module-level function or class of the package is referred to.
 
-A stdlib ``ast`` scan over the package, the tests and the demos.  The
-package ``__init__`` is skipped: its imports are the public API, exported
-through ``__all__``.
+Stdlib ``ast`` scans over the package, the tests and the demos.  The
+import scan skips the package ``__init__``: its imports are the public API,
+exported through ``__all__``.  An import alone does not refer to a
+definition, so a helper that is only exported still counts as dead.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,11 @@ FILES = sorted(
     for folder in ("src/multiutility", "tests", "demos")
     for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
+)
+SOURCES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src/multiutility", "tests", "demos")
+    for path in (ROOT / folder).glob("*.py")
 )
 
 
@@ -40,3 +48,45 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", FILES)
 def test_imports_are_used(path):
     assert unused_imports((ROOT / path).read_text(encoding="utf-8")) == []
+
+
+def _references(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unreferenced_definitions(sources: dict[str, str], package: str = "src/multiutility/") -> list[str]:
+    """Module-level functions and classes in ``package`` that no source refers
+    to outside their own definition, as ``path:name``."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    counts = Counter(name for tree in trees.values() for name in _references(tree))
+    return sorted(
+        f"{path}:{node.name}"
+        for path, tree in trees.items()
+        if path.startswith(package)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and counts[node.name] == Counter(_references(node))[node.name]
+    )
+
+
+def test_scan_finds_unreferenced_definitions():
+    sources = {
+        "src/multiutility/a.py": (
+            "def used():\n    pass\n\n"
+            "def recursive(n):\n    return recursive(n - 1)\n\n"
+            "class Gone:\n    def used(self):\n        return Gone()\n\n"
+            "class Kept:\n    pass\n"
+        ),
+        "src/multiutility/__init__.py": "from .a import Gone, Kept, used\n__all__ = ['Gone']\n",
+        "tests/test_a.py": "import multiutility.a as a\nfrom multiutility.a import used\n\nused()\na.Kept\n",
+    }
+    assert unreferenced_definitions(sources) == ["src/multiutility/a.py:Gone", "src/multiutility/a.py:recursive"]
+
+
+def test_every_package_definition_is_referenced():
+    sources = {path: (ROOT / path).read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_definitions(sources) == []

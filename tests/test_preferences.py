@@ -251,6 +251,24 @@ def test_representation_cone_rows_are_the_dual_generators():
     assert v.forward.separator == next(h for h in rows if sum(a * b for a, b in zip(h, x)) < 0)
 
 
+def test_null_and_repeated_statements_leave_the_representation_unchanged():
+    rng = random.Random(1313)
+    for _ in range(30):
+        space = OutcomeSpace([f"z{i}" for i in range(rng.randint(2, 6))])
+        d = random_dataset(rng, space, 6)
+        padded = list(d.statements)
+        p = random_lottery(rng, space)
+        padded.insert(rng.randint(0, len(padded)), (p, p))
+        k = rng.randrange(len(padded))
+        padded.insert(rng.randint(k + 1, len(padded)), padded[k])
+        pin = rng.choice(space.outcomes)
+        rep = extract_representation(d, pin)
+        again = extract_representation(PreferenceDataset(space, tuple(padded)), pin)
+        assert again == rep
+        assert again.cone._inequalities == rep.cone._inequalities
+        assert again.dual._inequalities == rep.dual._inequalities
+
+
 def _same_hull(rng, base, n):
     """Another presentation of canonical_rep(base): scaled, shifted, conic combinations."""
     out = []
