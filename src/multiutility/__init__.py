@@ -60,7 +60,6 @@ from .preferences import (
     PreferenceDataset,
     QueryVerdict,
     Representation,
-    build_cone,
     check_increasing,
     check_independence_closure,
     check_uniqueness,

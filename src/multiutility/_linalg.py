@@ -1,7 +1,9 @@
-"""Exact vector and matrix helpers over the rationals.
+"""Exact vector helpers over the rationals.
 
 Internal plumbing shared by the cone engine and the LP solver.  Vectors are
 plain tuples of ``int`` or ``Fraction``; nothing here ever touches a float.
+``clear_denominators`` and ``primitive`` are the way from rationals to
+integers: a positive common scale keeps every sign the engine decides on.
 """
 from __future__ import annotations
 
@@ -47,32 +49,3 @@ def primitive(a: Sequence) -> IntVector:
     ints, _ = clear_denominators(a)
     g = gcd(*ints) or 1
     return tuple(v // g for v in ints)
-
-
-def rref_basis(rows: Sequence[Sequence]) -> list[IntVector]:
-    """Canonical basis of the row space: its reduced row echelon form over the
-    rationals, zero rows dropped, each row scaled to coprime integers."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return [primitive(row) for row in mat[:r]]

@@ -24,20 +24,17 @@ from .jsonio import (
     load_json,
     measure_to_json,
     parse_dataset,
-    parse_measure,
+    parse_measure_input,
+    parse_query_batch,
     parse_query_pair,
-    parse_space,
     parse_utility_set,
     rational_to_str,
     representation_to_json,
     verdict_to_json,
-    _expect_dict,
-    _expect_list,
 )
 from .measures import decompose
 from .preferences import (
     PreferenceDataset,
-    check_increasing,
     check_uniqueness,
     extract_representation,
     first_violation,
@@ -173,13 +170,7 @@ def _run(args) -> str:
     if verb == "classify-batch":
         raw_dataset, raw_batch = _inputs(args, 2)
         dataset, pin, _ = _dataset_and_pin(args, raw_dataset)
-        root = _expect_dict(raw_batch, "")
-        if "queries" not in root:
-            raise SchemaError("missing key", "queries")
-        pairs = [
-            parse_query_pair(item, dataset.space, f"queries[{i}]")
-            for i, item in enumerate(_expect_list(root["queries"], "queries"))
-        ]
+        pairs = parse_query_batch(raw_batch, dataset.space)
         rep = extract_representation(dataset, pin)
         verdicts = [query(rep, p, q) for p, q in pairs]
         if args.verify:
@@ -206,8 +197,8 @@ def _run(args) -> str:
             _verify_representation(rep, extended)
         violations = []
         for u in rep.utilities:
-            if not check_increasing(u, ranking):
-                pair = first_violation(u, ranking)
+            pair = first_violation(u, ranking)
+            if pair is not None:
                 violations.append(
                     {"utility": [rational_to_str(v) for v in u.values], "pair": list(pair)}
                 )
@@ -215,12 +206,7 @@ def _run(args) -> str:
 
     if verb == "decompose":
         (raw,) = _inputs(args, 1)
-        root = _expect_dict(raw, "")
-        for key in ("outcomes", "measure"):
-            if key not in root:
-                raise SchemaError("missing key", key)
-        space = parse_space(root["outcomes"])
-        x = parse_measure(root["measure"], space, "measure")
+        x = parse_measure_input(raw)
         split = decompose(x)
         if args.verify:
             recombined = split.plus.measure.scale(split.alpha) - split.minus.measure.scale(split.alpha)

@@ -12,7 +12,8 @@ Membership runs an exact feasibility LP and returns a checkable certificate
 either way: conic coefficients when the vector lies inside, an integer
 separating functional when it does not.
 
-All verdicts are exact; nothing here tolerates floating point.
+The kernel is exact and integer: ``_canonical_vrep`` is the one
+elimination, and a queried vector is cleared to integers on entry.
 """
 from __future__ import annotations
 
@@ -22,10 +23,10 @@ from typing import Iterable, Sequence
 
 from ._linalg import (
     IntVector,
+    clear_denominators,
     dot,
     is_zero,
     primitive,
-    rref_basis,
     vec_neg,
 )
 from .linprog import INFEASIBLE, OPTIMAL, CertificateError, ExactLP, LPResult
@@ -132,11 +133,12 @@ def _cross_check(rays, lineality, ineqs) -> None:
                 raise ValueError(f"representations disagree: lineality {l} not on row {h}")
 
 
-def _coerce_vector(x: Sequence, dim: int) -> tuple[Fraction, ...]:
-    vec = tuple(as_fraction(v) for v in x)
+def _coerce_vector(x: Sequence, dim: int) -> tuple[list[int], int]:
+    """x as integer numerators over one positive denominator: x == nums / den."""
+    vec = [as_fraction(v) for v in x]
     if len(vec) != dim:
         raise DimensionMismatchError(f"expected a vector of length {dim}, got {len(vec)}")
-    return vec
+    return clear_denominators(vec)
 
 
 # -- construction -----------------------------------------------------------
@@ -264,21 +266,31 @@ def _dedupe(rays: Iterable[tuple[IntVector, int]]) -> dict[IntVector, int]:
 def _canonical_vrep(lineality: Sequence[IntVector], rays: Iterable[IntVector]):
     """RREF lineality basis, and the rays reduced modulo it, primitive, deduplicated and sorted.
 
-    Each basis row has a positive pivot and zeros in the other rows' pivot
-    columns, so clearing the pivot columns one row at a time in integers
-    leaves the coset representative with zeros in every pivot column.
+    Fraction-free: each basis row is primitive, with a positive pivot and
+    zeros in the other rows' pivot columns, so clearing the pivot columns one
+    row at a time leaves a vector's coset representative.  A lineality vector
+    with a nonzero one joins the basis, positive at its first nonzero entry,
+    after that column is cleared from the earlier rows; such rows are unique.
     """
-    lin = rref_basis(lineality)
-    pivots = [(l, next(j for j, x in enumerate(l) if x)) for l in lin]
-    out: set[IntVector] = set()
-    for r in rays:
-        for l, p in pivots:
-            if r[p]:
-                r = tuple(l[p] * x - r[p] * y for x, y in zip(r, l))
-        r = primitive(r)
-        if not is_zero(r):
-            out.add(r)
-    return tuple(lin), tuple(sorted(out))
+    basis: dict[int, IntVector] = {}  # pivot column -> basis row
+
+    def reduce(v: IntVector) -> IntVector:
+        # multiplying v by l[p] > 0 keeps its orientation
+        for p, l in basis.items():
+            if v[p]:
+                v = tuple(l[p] * x - v[p] * y for x, y in zip(v, l))
+        return primitive(v)
+
+    for v in lineality:
+        v = reduce(v)
+        q = next((j for j, x in enumerate(v) if x), None)
+        if q is not None:
+            v = v if v[q] > 0 else vec_neg(v)
+            # v is zero in every earlier pivot column, so each row keeps its pivot
+            basis = {p: primitive(tuple(v[q] * x - l[q] * y for x, y in zip(l, v))) for p, l in basis.items()}
+            basis[q] = v
+    out = {r for r in map(reduce, rays) if not is_zero(r)}
+    return tuple(basis[p] for p in sorted(basis)), tuple(sorted(out))
 
 
 def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone:
@@ -289,7 +301,7 @@ def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone
     the same.  This is the one double description pass: every other
     conversion reads its answer off a cone built here.
     """
-    int_rows = [h for h in dict.fromkeys(primitive(_coerce_vector(r, dim)) for r in rows) if not is_zero(h)]
+    int_rows = [h for h in dict.fromkeys(primitive(_coerce_vector(r, dim)[0]) for r in rows) if not is_zero(h)]
     lin, rays = _double_description(dim, int_rows)
     lin_c, rays_c = _canonical_vrep(lin, rays)
     return PolyhedralCone(dim, rays_c, lin_c, inequalities=tuple(int_rows))
@@ -328,16 +340,18 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
     IN comes with conic coefficients over the cone's directed generators,
     found by exact LP.  OUT comes with an integer separator: the first
     violated row when the cone was built with inequality rows, otherwise a
-    functional recovered from the LP's Farkas dual.  The certificate is
-    rechecked arithmetically before being returned; a failed recheck raises
-    :class:`CertificateError`.
+    functional recovered from the LP's Farkas dual.  Rows and LP see x's
+    integer numerators; Bland's rule sees the right-hand side only through
+    signs and ratios, so the LP pivots and separates as it would on x.  The
+    certificate is rechecked by :func:`verify_membership` before being
+    returned; a failed recheck raises :class:`CertificateError`.
     """
-    vec = _coerce_vector(x, cone.dim)
+    vec, den = _coerce_vector(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         violated = next((h for h in rows if dot(h, vec) < 0), None)
         if violated is not None:
-            return _certified(cone, vec, MembershipCertificate(OUT, separator=violated))
+            return _certified(cone, x, MembershipCertificate(OUT, separator=violated))
 
     gens = cone.rays
     lins = cone.lineality
@@ -347,7 +361,7 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
         # separate along any nonzero coordinate of x
         i = next(i for i, v in enumerate(vec) if v != 0)
         sep = tuple(0 if j != i else (-1 if vec[i] > 0 else 1) for j in range(cone.dim))
-        return _certified(cone, vec, MembershipCertificate(OUT, separator=sep))
+        return _certified(cone, x, MembershipCertificate(OUT, separator=sep))
 
     res = _hull_lp(vec, gens, lins)
     if res.status == OPTIMAL:
@@ -362,21 +376,22 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
                 combo.append((nrays + j, mu))
             elif mu < 0:
                 combo.append((nrays + nlins + j, -mu))
-        return _certified(cone, vec, MembershipCertificate(IN, combination=tuple(combo)))
+        # the LP solved for den * x
+        return _certified(cone, x, MembershipCertificate(IN, combination=tuple((j, c / den) for j, c in combo)))
     if res.status != INFEASIBLE:
         raise CertificateError(f"hull feasibility LP ended {res.status}")
-    return _certified(cone, vec, MembershipCertificate(OUT, separator=primitive(vec_neg(res.duals))))
+    return _certified(cone, x, MembershipCertificate(OUT, separator=primitive(vec_neg(res.duals))))
 
 
-def _certified(cone: PolyhedralCone, vec: Sequence, cert: MembershipCertificate) -> MembershipCertificate:
-    if not verify_membership(cone, vec, cert):
+def _certified(cone: PolyhedralCone, x: Sequence, cert: MembershipCertificate) -> MembershipCertificate:
+    if not verify_membership(cone, x, cert):
         raise CertificateError(f"{cert.verdict} certificate failed its arithmetic recheck")
     return cert
 
 
 def contains(cone: PolyhedralCone, x: Sequence) -> bool:
     """Membership verdict only; uses the cone's inequality rows when it has them."""
-    vec = _coerce_vector(x, cone.dim)
+    vec, _ = _coerce_vector(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         return all(dot(h, vec) >= 0 for h in rows)
@@ -386,20 +401,22 @@ def contains(cone: PolyhedralCone, x: Sequence) -> bool:
 
 
 def verify_membership(cone: PolyhedralCone, x: Sequence, cert: MembershipCertificate) -> bool:
-    """Recheck a certificate by plain arithmetic, no LP involved."""
-    vec = _coerce_vector(x, cone.dim)
+    """Recheck a certificate by plain integer arithmetic, no LP involved.
+
+    IN scales the coefficients by their lcm and x by its denominator.
+    """
+    vec, den = _coerce_vector(x, cone.dim)
     gens = cone.directed_generators
     if cert.verdict == IN:
         if cert.combination is None:
             return False
-        acc = [Fraction(0)] * cone.dim
-        for idx, coeff in cert.combination:
-            if not 0 <= idx < len(gens) or coeff < 0:
+        coeffs, scale = clear_denominators([c for _, c in cert.combination])
+        acc = [0] * cone.dim
+        for (idx, _), c in zip(cert.combination, coeffs):
+            if not 0 <= idx < len(gens) or c < 0:
                 return False
-            g = gens[idx]
-            for i in range(cone.dim):
-                acc[i] += coeff * g[i]
-        return tuple(acc) == vec
+            acc = [a + c * y for a, y in zip(acc, gens[idx])]
+        return all(den * a == scale * v for a, v in zip(acc, vec))
     if cert.verdict == OUT:
         sep = cert.separator
         if sep is None or len(sep) != cone.dim or is_zero(sep):

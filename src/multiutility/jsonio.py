@@ -187,6 +187,22 @@ def parse_query_pair(obj: Any, space: OutcomeSpace, path: str = "") -> tuple[Lot
     )
 
 
+def parse_query_batch(obj: Any, space: OutcomeSpace) -> list[tuple[Lottery, Lottery]]:
+    root = _expect_dict(obj, "")
+    if "queries" not in root:
+        raise SchemaError("missing key", "queries")
+    items = _expect_list(root["queries"], "queries")
+    return [parse_query_pair(item, space, f"queries[{i}]") for i, item in enumerate(items)]
+
+
+def parse_measure_input(obj: Any) -> Measure:
+    root = _expect_dict(obj, "")
+    for key in ("outcomes", "measure"):
+        if key not in root:
+            raise SchemaError("missing key", key)
+    return parse_measure(root["measure"], parse_space(root["outcomes"]), "measure")
+
+
 def parse_utility_set(obj: Any) -> tuple[OutcomeSpace, list[Utility]]:
     root = _expect_dict(obj, "")
     if "outcomes" not in root:

@@ -21,7 +21,6 @@ from .cones import (
     MembershipCertificate,
     PolyhedralCone,
     canonical_rep,
-    cone_from_generators,
     cone_from_inequalities,
     contains,
     dual_cone,
@@ -105,12 +104,6 @@ class QueryVerdict:
     backward: MembershipCertificate
 
 
-def build_cone(dataset: PreferenceDataset) -> PolyhedralCone:
-    """Canonical cone spanned by the statement difference vectors p - q."""
-    diffs = [(p - q).dense() for p, q in dataset.statements]
-    return cone_from_generators(diffs, dim=len(dataset.space))
-
-
 def extract_representation(dataset: PreferenceDataset, pin: str) -> Representation:
     """Compute the finite utility set representing the data's entailments.
 
@@ -183,9 +176,7 @@ def monotone_extend(dataset: PreferenceDataset, ranking: MonotoneStructure) -> P
 
 def check_increasing(u: Utility, ranking: MonotoneStructure) -> bool:
     """Does the utility weakly respect the outcome ranking?"""
-    if ranking.space != u.space:
-        raise SpaceMismatchError("ranking and utility use different outcome spaces")
-    return all(u.value(a) >= u.value(b) for a, b in ranking.pairs)
+    return first_violation(u, ranking) is None
 
 
 def first_violation(u: Utility, ranking: MonotoneStructure) -> tuple[str, str] | None:

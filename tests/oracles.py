@@ -152,6 +152,27 @@ def _primitive_fraction(v):
     return _primitive(tuple(int(x * den) for x in v))
 
 
+def oracle_rref(vectors):
+    """Reduced row echelon basis of the span of integer vectors, by Gauss-Jordan over Fractions.
+
+    Rows come sorted by pivot column, each scaled to coprime integers, so
+    every pivot is positive.
+    """
+    basis = []  # pivot entries 1
+    for g in vectors:
+        row = [Fraction(x) for x in g]
+        for b in basis:
+            p = next(j for j, x in enumerate(b) if x != 0)
+            row = [x - row[p] * y for x, y in zip(row, b)]
+        p = next((j for j, x in enumerate(row) if x != 0), None)
+        if p is None:
+            continue
+        row = [x / row[p] for x in row]
+        basis = [[x - b[p] * y for x, y in zip(b, row)] for b in basis] + [row]
+    basis.sort(key=lambda b: next(j for j, x in enumerate(b) if x != 0))
+    return tuple(_primitive_fraction(b) for b in basis)
+
+
 def oracle_canonical_hull(generators):
     """Canonical (lineality basis, extreme rays) of a conic hull, by membership alone.
 
@@ -166,19 +187,7 @@ def oracle_canonical_hull(generators):
     """
     gens = _distinct_nonzero(_primitive(tuple(g)) for g in generators)
     lin = [g for g in gens if oracle_membership(gens, [-x for x in g])]
-    basis = []  # reduced row echelon form, pivot entries 1
-    for g in lin:
-        row = [Fraction(x) for x in g]
-        for b in basis:
-            p = next(j for j, x in enumerate(b) if x != 0)
-            row = [x - row[p] * y for x, y in zip(row, b)]
-        p = next((j for j, x in enumerate(row) if x != 0), None)
-        if p is None:
-            continue
-        row = [x / row[p] for x in row]
-        basis = [[x - b[p] * y for x, y in zip(b, row)] for b in basis] + [row]
-    basis.sort(key=lambda b: next(j for j, x in enumerate(b) if x != 0))
-    basis = [_primitive_fraction(b) for b in basis]
+    basis = oracle_rref(lin)
 
     def reduce(g):
         row = [Fraction(x) for x in g]
@@ -191,4 +200,4 @@ def oracle_canonical_hull(generators):
     # part of any combination of them, which the basis then forces to zero
     directions = _distinct_nonzero(reduce(g) for g in gens if g not in lin)
     rays = [d for d in directions if not oracle_membership([e for e in directions if e != d], d)]
-    return tuple(basis), tuple(sorted(rays))
+    return basis, tuple(sorted(rays))

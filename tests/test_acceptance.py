@@ -38,7 +38,7 @@ from multiutility import (
 )
 from multiutility.cones import IN, OUT
 from multiutility.linprog import ExactLP
-from multiutility.preferences import build_cone, utilities_agree
+from multiutility.preferences import utilities_agree
 
 from oracles import oracle_decompose, oracle_membership
 
@@ -87,7 +87,7 @@ def moderate_dataset(n, m):
 def test_dual_ray_counts_of_moderate_datasets():
     # the datasets whose duals take real DD work
     for (n, m), count in {(10, 20): 346, (14, 20): 91}.items():
-        assert len(dual_cone(build_cone(moderate_dataset(n, m))).rays) == count
+        assert len(extract_representation(moderate_dataset(n, m), "z0").dual.rays) == count
 
 
 def test_cones_and_representations_are_built_without_an_lp(monkeypatch):

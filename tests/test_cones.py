@@ -30,7 +30,7 @@ from multiutility.cones import (
     verify_membership,
 )
 
-from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership
+from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership, oracle_rref
 
 
 def test_empty_generators_give_zero_cone():
@@ -143,6 +143,10 @@ def test_verify_rejects_doctored_certificates():
     assert not verify_membership(c, (2, -2), bad_combo)
     negative_coeff = MembershipCertificate(IN, combination=((0, Fraction(-2)),))
     assert not verify_membership(c, (-2, 2), negative_coeff)
+    # an IN recheck compares the combination with x itself, not with x's numerators
+    half = ("1/2", "-1/2")
+    assert not verify_membership(c, half, MembershipCertificate(IN, combination=((0, 1),)))
+    assert verify_membership(c, half, MembershipCertificate(IN, combination=((0, Fraction(1, 2)),)))
 
 
 def test_inequalities_round_trip():
@@ -211,6 +215,39 @@ def test_membership_agrees_with_oracle():
         assert (cert.verdict == IN) == oracle_membership(gens, x)
         assert verify_membership(c, x, cert)
     assert seen[IN] > 0 and seen[OUT] > 0
+
+
+def test_certificates_scale_with_the_queried_vector():
+    # a positive scale keeps every sign: separators stay, combinations scale with it
+    rng = random.Random(31)
+    cases = [
+        cone_from_generators([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, 1)]),
+        cone_from_inequalities([(1, -1, 0, 0), (0, 1, -1, 0)], dim=4),
+        cone_from_generators([(1, 0, 0, 0), (0, 1, 1, 0), (0, -1, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]),
+        cone_from_generators([], dim=4),
+    ]
+    assert cases[1]._inequalities is not None and cases[0]._inequalities is None
+    assert len(cases[1].lineality) == len(cases[2].lineality) == 2
+    for c in cases:
+        seen = set()
+        for _ in range(30):
+            if rng.random() < 0.5:
+                x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4))
+            else:
+                x = tuple(sum(rng.randint(0, 2) * g[i] for g in c.directed_generators) for i in range(4))
+            k = Fraction(rng.randint(1, 6), rng.choice([1, 1, 2, 5]))
+            base = membership(c, x)
+            kx = [k * v for v in x]
+            forms = [kx, [str(v) for v in kx]]
+            if all(v.denominator == 1 for v in kx):
+                forms.append([int(v) for v in kx])
+            for form in forms:
+                cert = membership(c, form)
+                assert (cert.verdict, cert.separator) == (base.verdict, base.separator), (c, x, k)
+                if base.verdict == IN:
+                    assert cert.combination == tuple((j, k * a) for j, a in base.combination), (c, x, k)
+            seen.add(base.verdict)
+        assert seen == {IN, OUT}
 
 
 def test_dual_pairing_is_nonnegative_exactly():
@@ -293,6 +330,38 @@ def test_double_description_agrees_with_rank_test_oracle():
         assert _canonical_vrep(*_double_description(dim, rows)) == _canonical_vrep(
             *oracle_double_description(dim, rows)
         ), (dim, rows)
+
+
+def _lineality_list(rng, dim):
+    """Up to dim + 2 vectors with dependent combinations, negations, duplicates and zero vectors."""
+    vecs = []
+    for _ in range(rng.randint(0, dim + 2)):
+        roll = rng.random()
+        if len(vecs) >= 2 and roll < 0.25:
+            a, b = rng.sample(vecs, 2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            vecs.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        elif vecs and roll < 0.35:
+            vecs.append(tuple(-x for x in rng.choice(vecs)))
+        elif vecs and roll < 0.45:
+            vecs.append(rng.choice(vecs))
+        elif roll < 0.5:
+            vecs.append((0,) * dim)
+        else:
+            vecs.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+    return vecs
+
+
+def test_canonical_vrep_lineality_is_the_rref():
+    rng = random.Random(6262)
+    for _ in range(300):
+        dim = rng.randint(1, 8)
+        lin = _lineality_list(rng, dim)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(3)]
+        basis, reduced = _canonical_vrep(lin, rays)
+        assert basis == oracle_rref(lin), (dim, lin)
+        pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+        assert all(r[p] == 0 for r in reduced for p in pivots), (dim, lin, rays)
 
 
 def _messy_generators(rng, dim):
