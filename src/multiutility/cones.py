@@ -8,17 +8,19 @@ of rows they lie on.  The other direction needs no pass: the dual of
 {x : Hx >= 0} is cone(H), whose lineality and extreme rays ``dual_cone``
 reads off the rays' zero sets.  A hull of generators is read off the cone
 they cut out in the same way, so building a cone never runs an LP.
-Membership runs an exact feasibility LP and returns a checkable certificate
-either way: conic coefficients when the vector lies inside, an integer
-separating functional when it does not.
+An IN answer over independent generators is read off one elimination;
+otherwise membership runs an exact feasibility LP.  Either way it returns a
+checkable certificate: conic coefficients when the vector lies inside, an
+integer separating functional when it does not.
 
-The kernel is exact and integer: ``_canonical_vrep`` is the one
+The kernel is exact and integer: ``_echelon`` and ``_reduce`` are the one
 elimination, and a queried vector is cleared to integers on entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._linalg import (
@@ -162,12 +164,31 @@ def cone_from_generators(vectors: Iterable[Sequence], dim: int | None = None) ->
 
 
 def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVector]) -> LPResult:
-    """Feasibility LP for x in cone(gens) + span(lineality); needs at least one column."""
-    cols = list(gens) + list(lineality)
+    """Feasibility LP for x in cone(gens) + span(lineality); needs at least one column.
+
+    Independent columns fix the coefficients: when x lies in their span with
+    nonnegative ray coefficients, one reduction finds the LP's only solution,
+    returned as the LP returns it, with zero objective and duals.
+    """
+    cols = tuple(gens) + tuple(lineality)
+    basis = _independent_basis(cols)
+    if basis is not None:
+        # w = s * (x - G lam, -lam, 1) with s > 0
+        dim, w = len(x), _reduce(basis, (*x, *(0,) * len(cols), 1))
+        lam = tuple(Fraction(-v, w[-1]) for v in w[dim:-1])
+        if not any(w[:dim]) and all(c >= 0 for c in lam[: len(gens)]):
+            return LPResult(OPTIMAL, Fraction(0), lam, (Fraction(0),) * dim)
     lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
     for i in range(len(x)):
         lp.add([c[i] for c in cols], "==", x[i])
     return lp.feasibility()
+
+
+@lru_cache(maxsize=16)
+def _independent_basis(cols: tuple[IntVector, ...]):
+    """Echelon basis of the lifted columns (c_j, e_j, 0), or None when the c_j are dependent."""
+    basis = _echelon(c + tuple(int(i == j) for i in range(len(cols))) + (0,) for j, c in enumerate(cols))
+    return basis if all(p < len(cols[0]) for p, _ in basis) else None
 
 
 # -- double description ------------------------------------------------------
@@ -263,34 +284,39 @@ def _dedupe(rays: Iterable[tuple[IntVector, int]]) -> dict[IntVector, int]:
     return {r: z for r, z in rays if not is_zero(r)}
 
 
-def _canonical_vrep(lineality: Sequence[IntVector], rays: Iterable[IntVector]):
-    """RREF lineality basis, and the rays reduced modulo it, primitive, deduplicated and sorted.
+def _echelon(vectors: Iterable[IntVector]) -> tuple[tuple[int, IntVector], ...]:
+    """Reduced echelon basis of the vectors' span as (pivot column, row) pairs, sorted by pivot.
 
-    Fraction-free: each basis row is primitive, with a positive pivot and
-    zeros in the other rows' pivot columns, so clearing the pivot columns one
-    row at a time leaves a vector's coset representative.  A lineality vector
-    with a nonzero one joins the basis, positive at its first nonzero entry,
-    after that column is cleared from the earlier rows; such rows are unique.
+    Fraction-free: rows are primitive, with a positive pivot and zeros in the
+    other pivot columns, so they are unique.  A vector left nonzero by
+    :func:`_reduce` joins after its pivot column is cleared from the others.
     """
     basis: dict[int, IntVector] = {}  # pivot column -> basis row
-
-    def reduce(v: IntVector) -> IntVector:
-        # multiplying v by l[p] > 0 keeps its orientation
-        for p, l in basis.items():
-            if v[p]:
-                v = tuple(l[p] * x - v[p] * y for x, y in zip(v, l))
-        return primitive(v)
-
-    for v in lineality:
-        v = reduce(v)
+    for v in vectors:
+        v = _reduce(basis.items(), v)
         q = next((j for j, x in enumerate(v) if x), None)
         if q is not None:
             v = v if v[q] > 0 else vec_neg(v)
             # v is zero in every earlier pivot column, so each row keeps its pivot
             basis = {p: primitive(tuple(v[q] * x - l[q] * y for x, y in zip(l, v))) for p, l in basis.items()}
             basis[q] = v
-    out = {r for r in map(reduce, rays) if not is_zero(r)}
-    return tuple(basis[p] for p in sorted(basis)), tuple(sorted(out))
+    return tuple(sorted(basis.items()))
+
+
+def _reduce(basis: Iterable[tuple[int, IntVector]], v: IntVector) -> IntVector:
+    """A positive multiple of v minus basis rows, zero in the pivot columns and primitive."""
+    for p, l in basis:
+        # multiplying v by l[p] > 0 keeps its orientation
+        if v[p]:
+            v = tuple(l[p] * x - v[p] * y for x, y in zip(v, l))
+    return primitive(v)
+
+
+def _canonical_vrep(lineality: Sequence[IntVector], rays: Iterable[IntVector]):
+    """RREF lineality basis, and the rays reduced modulo it, primitive, deduplicated and sorted."""
+    basis = _echelon(lineality)
+    out = {r for r in (_reduce(basis, r) for r in rays) if not is_zero(r)}
+    return tuple(l for _, l in basis), tuple(sorted(out))
 
 
 def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone:
@@ -338,7 +364,8 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
     """Exact membership verdict with a checkable certificate.
 
     IN comes with conic coefficients over the cone's directed generators,
-    found by exact LP.  OUT comes with an integer separator: the first
+    found by :func:`_hull_lp`: one elimination when they are unique, else
+    exact LP.  OUT comes with an integer separator: the first
     violated row when the cone was built with inequality rows, otherwise a
     functional recovered from the LP's Farkas dual.  Rows and LP see x's
     integer numerators; Bland's rule sees the right-hand side only through

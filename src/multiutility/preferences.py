@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ._linalg import is_zero, primitive
+from ._linalg import clear_denominators, dot, is_zero, primitive
 from .cones import (
     DimensionMismatchError,
     MembershipCertificate,
@@ -34,7 +34,6 @@ from .measures import (
     UnknownOutcomeError,
     Utility,
     decompose,
-    expectation,
     mix,
 )
 
@@ -260,8 +259,12 @@ def check_independence_closure(dataset: PreferenceDataset, samples: int = 100, s
 def utilities_agree(rep: Representation, p: Lottery, q: Lottery) -> str:
     """Classification recomputed from expectations against every utility.
 
-    Independent of the cone-membership route; used to cross-check queries.
+    E_p[u] - E_q[u] = <p - q, u>, whose sign positive scaling keeps, so one
+    integer dot product per utility decides both directions.  Independent of
+    the cone-membership route; used to cross-check queries.
     """
-    forward = all(expectation(p, u) >= expectation(q, u) for u in rep.utilities)
-    backward = all(expectation(q, u) >= expectation(p, u) for u in rep.utilities)
-    return _classify(forward, backward)
+    if p.space != rep.space or q.space != rep.space:
+        raise SpaceMismatchError("query lotteries must live on the representation space")
+    diff, _ = clear_denominators((p - q).dense())
+    gaps = [dot(diff, clear_denominators(u.values)[0]) for u in rep.utilities]
+    return _classify(all(g >= 0 for g in gaps), all(g <= 0 for g in gaps))

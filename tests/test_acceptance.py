@@ -171,6 +171,46 @@ def test_criterion_3_cone_and_utility_answers_coincide():
     report(3, "query verdicts equal all-utility verdicts on 100 datasets x 50 pairs", failures)
 
 
+def test_query_routes_agree_past_five_outcomes():
+    # rows on rep.cone, the hull LP on a cone without rows, the utilities and the
+    # oracle; its subset enumeration takes 0.6 s per OUT at 10 generators on 9
+    # outcomes, so it checks two pairs of each dataset with at most 8
+    rng = random.Random(606)
+    verdicts = {IN: 0, OUT: 0}
+    oracle_checked = 0
+    for trial in range(20):
+        space = OutcomeSpace([f"z{i}" for i in range(rng.randint(6, 9))])
+        statements = tuple(
+            (random_lottery(rng, space), random_lottery(rng, space)) for _ in range(rng.randint(2, 20))
+        )
+        rep = extract_representation(PreferenceDataset(space, statements), pin="z0")
+        diffs = [(p - q).dense() for p, q in statements]
+        hull = cone_from_generators(diffs, dim=len(space))
+        assert rep.cone._inequalities is not None and hull._inequalities is None
+        for k in range(8):
+            total = Measure.zero(space)
+            for p, q in statements:
+                total = total + (p - q).scale(Fraction(rng.randint(0, 3), rng.randint(1, 3)))
+            if k % 2 or total.is_zero():
+                p, q = random_lottery(rng, space), random_lottery(rng, space)
+            else:
+                split = decompose(total)
+                p, q = split.plus, split.minus
+            diff = (p - q).dense()
+            neg = [-v for v in diff]
+            verdict = query(rep, p, q)
+            by_rows = (verdict.forward.verdict, verdict.backward.verdict)
+            by_hull = (membership(hull, diff).verdict, membership(hull, neg).verdict)
+            assert by_rows == by_hull, (trial, k)
+            assert utilities_agree(rep, p, q) == verdict.classification, (trial, k)
+            if len(diffs) <= 8 and k < 2:
+                oracle_checked += 1
+                assert by_rows == tuple(IN if oracle_membership(diffs, x) else OUT for x in (diff, neg)), (trial, k)
+            for v in by_rows:
+                verdicts[v] += 1
+    assert min(verdicts.values()) > 100 and oracle_checked >= 15, (verdicts, oracle_checked)
+
+
 def test_criterion_4_uniqueness_across_pins():
     rng = random.Random(303)  # same datasets as criterion 3
     failures = []

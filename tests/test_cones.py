@@ -16,6 +16,8 @@ from multiutility.cones import (
     PolyhedralCone,
     _canonical_vrep,
     _double_description,
+    _hull_lp,
+    _independent_basis,
     CertificateError,
     DimensionMismatchError,
     EmptyUtilitySetError,
@@ -29,8 +31,10 @@ from multiutility.cones import (
     membership,
     verify_membership,
 )
+from multiutility.linprog import OPTIMAL, ExactLP
 
 from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership, oracle_rref
+from test_acceptance import moderate_dataset
 
 
 def test_empty_generators_give_zero_cone():
@@ -454,3 +458,73 @@ def test_dual_read_off_the_rows_equals_the_double_description_dual(monkeypatch):
         read = dual_cone(c)
         assert len(calls) == passes
         assert (read, read._inequalities) == (via_dd, via_dd._inequalities), (dim, rows)
+
+
+def _hull_columns(rng, dim):
+    """Up to dim columns, mostly independent, or k + 1 in a k-dimensional subspace; then the split.
+
+    Columns from the split on are lineality vectors.
+    """
+    if rng.random() < 0.6:
+        cols = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, dim))]
+    else:
+        k = rng.randint(1, dim)
+        span = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(k)]
+        cols = [tuple(sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(dim)) for _ in range(k + 1)]
+    return cols, rng.choice([len(cols), len(cols), rng.randint(0, len(cols))])
+
+
+def test_hull_solve_equals_the_lp_solution():
+    # independent columns admit one solution, which the simplex would return
+    rng = random.Random(8383)
+    direct = {True: 0, False: 0}
+    for trial in range(2000):
+        dim = rng.randint(1, 8)
+        cols, split = _hull_columns(rng, dim)
+        gens, lins = cols[:split], cols[split:]
+        kind = trial % 3
+        if kind == 2:
+            x = tuple(rng.randint(-3, 3) for _ in range(dim))
+        else:
+            # kind 1 lets ray coefficients go negative: in the span, mostly outside the cone
+            lam = [rng.randint(-kind, 3) for _ in gens] + [rng.randint(-3, 3) for _ in lins]
+            x = tuple(sum(l * c[i] for l, c in zip(lam, cols)) for i in range(dim))
+        lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
+        for i in range(dim):
+            lp.add([c[i] for c in cols], "==", x[i])
+        expected = lp.feasibility()
+        assert _hull_lp(x, gens, lins) == expected, (gens, lins, x)
+        if expected.status == OPTIMAL:
+            direct[_independent_basis(tuple(cols)) is not None] += 1
+    assert min(direct.values()) > 150, direct
+
+
+def _spy_on_lp(monkeypatch):
+    """Every LP solved, one entry per call."""
+    calls = []
+    real = ExactLP.minimize
+
+    def spy(self, costs):
+        calls.append(self)
+        return real(self, costs)
+
+    monkeypatch.setattr(ExactLP, "minimize", spy)
+    return calls
+
+
+def test_only_a_unique_in_combination_skips_the_lp(monkeypatch):
+    calls = _spy_on_lp(monkeypatch)
+    for (n, m), lps in {(12, 24): 0, (10, 14): 1}.items():
+        dataset = moderate_dataset(n, m)
+        cone = extract_representation(dataset, "z0").cone
+        assert (_independent_basis(cone.rays + cone.lineality) is not None) == (lps == 0)
+        (p, q), (r, s) = dataset.statements[:2]
+        calls.clear()
+        assert membership(cone, ((p - q) + (r - s).scale(3)).dense()).verdict == IN
+        assert len(calls) == lps, (n, m)
+    # an OUT without rows still takes its separator from the Farkas duals
+    hull = cone_from_generators([(1, -1, 0), (0, 1, -1)])
+    assert hull._inequalities is None and _independent_basis(hull.rays) is not None
+    calls.clear()
+    cert = membership(hull, (-1, 1, 0))
+    assert (cert.verdict, cert.separator, len(calls)) == (OUT, (1, -1, -1), 1)

@@ -28,7 +28,7 @@ from multiutility import (
     query,
 )
 from multiutility.cones import IN, OUT
-from multiutility.preferences import first_violation, utilities_agree
+from multiutility.preferences import Representation, first_violation, utilities_agree
 
 AB = OutcomeSpace(["a", "b"])
 ABC = OutcomeSpace(["a", "b", "c"])
@@ -222,6 +222,35 @@ def test_utilities_agree_with_query():
             p = random_lottery(rng, ABC)
             q = random_lottery(rng, ABC)
             assert query(rep, p, q).classification == utilities_agree(rep, p, q)
+
+
+def test_utilities_agree_on_fraction_utilities_built_by_hand():
+    # Fraction payoffs and a positively scaled copy, not pinned; the cones are never read
+    classes = {
+        (True, True): INDIFFERENT,
+        (True, False): ENTAILED_ONLY,
+        (False, True): REVERSE_ONLY,
+        (False, False): INCOMPARABLE,
+    }
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(40):
+        space = OutcomeSpace([f"z{i}" for i in range(rng.randint(2, 5))])
+        us = [
+            Utility(space, [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in space.outcomes])
+            for _ in range(rng.randint(1, 3))
+        ]
+        us.append(us[0].scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+        zero = cone_from_generators([], dim=len(space))
+        rep = Representation(space, tuple(us), zero, zero, space.outcomes[0])
+        for _ in range(20):
+            p = random_lottery(rng, space)
+            q = p if rng.random() < 0.2 else random_lottery(rng, space)
+            forward = all(expectation(p, u) >= expectation(q, u) for u in us)
+            backward = all(expectation(q, u) >= expectation(p, u) for u in us)
+            assert utilities_agree(rep, p, q) == classes[forward, backward], (us, p, q)
+            seen.add(classes[forward, backward])
+    assert seen == set(classes.values())
 
 
 def test_representation_expectation_matches_statements():
