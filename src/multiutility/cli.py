@@ -209,7 +209,7 @@ def _run(args) -> str:
         x = parse_measure_input(raw)
         split = decompose(x)
         if args.verify:
-            recombined = split.plus.measure.scale(split.alpha) - split.minus.measure.scale(split.alpha)
+            recombined = split.plus.scale(split.alpha) - split.minus.scale(split.alpha)
             if not (x.is_zero() and split.alpha == 0) and recombined != x:
                 raise VerificationError("decomposition does not recombine to the input")
         return dump_json(

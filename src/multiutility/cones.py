@@ -70,6 +70,8 @@ class PolyhedralCone:
     contained in the cone (canonical reduced-echelon basis).  An inequality
     representation, when given at construction, is a tuple of integer rows h
     with the cone equal to the set of x satisfying <h, x> >= 0 for every row.
+    Every coordinate must be an ``int``: any other value, even an integral
+    ``Fraction``, raises ``TypeError`` instead of being truncated.
     Instances are immutable, so every verdict depends only on the cone's value.
     """
 
@@ -82,15 +84,17 @@ class PolyhedralCone:
         lineality: Iterable[IntVector] = (),
         inequalities: Iterable[IntVector] | None = None,
     ):
-        self.dim = int(dim)
-        if self.dim < 1:
+        if type(dim) is not int:
+            raise TypeError(f"ambient dimension must be an int, got {dim!r}")
+        if dim < 1:
             raise DimensionMismatchError("ambient dimension must be at least 1")
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
-        self.lineality = tuple(tuple(int(x) for x in l) for l in lineality)
+        self.dim = dim
+        self.rays = tuple(map(_int_vector, rays))
+        self.lineality = tuple(map(_int_vector, lineality))
         for v in self.rays + self.lineality:
             if len(v) != self.dim:
                 raise DimensionMismatchError(f"generator {v} has wrong length for dim {self.dim}")
-        ineqs = None if inequalities is None else tuple(tuple(int(x) for x in h) for h in inequalities)
+        ineqs = None if inequalities is None else tuple(map(_int_vector, inequalities))
         if ineqs is not None:
             for h in ineqs:
                 if len(h) != self.dim:
@@ -122,6 +126,13 @@ class PolyhedralCone:
             f"PolyhedralCone(dim={self.dim}, rays={list(self.rays)!r}, "
             f"lineality={list(self.lineality)!r})"
         )
+
+
+def _int_vector(v: Iterable[int]) -> IntVector:
+    t = tuple(v)
+    if any(type(x) is not int for x in t):
+        raise TypeError(f"vector {t!r} has an entry that is not an int")
+    return t
 
 
 def _cross_check(rays, lineality, ineqs) -> None:

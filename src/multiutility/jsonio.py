@@ -121,14 +121,13 @@ def parse_measure(obj: Any, space: OutcomeSpace, path: str) -> Measure:
 def parse_lottery(obj: Any, space: OutcomeSpace, path: str) -> Lottery:
     m = parse_measure(obj, space, path)
     try:
-        return Lottery(m)
+        return Lottery(space, m.entries)
     except NotLotteryError as exc:
         raise SchemaError(str(exc), path) from None
 
 
-def measure_to_json(m: Measure | Lottery) -> dict:
-    mm = m.measure if isinstance(m, Lottery) else m
-    return {z: rational_to_str(mm.value(z)) for z in sorted(mm.support())}
+def measure_to_json(m: Measure) -> dict:
+    return {z: rational_to_str(m.value(z)) for z in sorted(m.support())}
 
 
 def parse_utility(obj: Any, space: OutcomeSpace, path: str) -> Utility:

@@ -3,8 +3,9 @@
 Everything is exact: coordinates are ``fractions.Fraction`` and no operation
 ever rounds.  A signed measure is stored sparsely (index -> value, zeros never
 stored); a utility is a dense vector.  The total-variation norm of a measure
-is the sum of absolute values of its entries, and a lottery is a nonnegative
-measure of norm one.
+is the sum of absolute values of its entries.  A lottery is a ``Measure``
+whose constructor checks that it is nonnegative of total one; arithmetic on
+lotteries returns plain measures.
 """
 from __future__ import annotations
 
@@ -187,58 +188,24 @@ class Measure:
 
     def __repr__(self) -> str:
         body = {self.space.outcomes[i]: str(v) for i, v in sorted(self.entries.items())}
-        return f"Measure({body!r})"
+        return f"{type(self).__name__}({body!r})"
 
 
-class Lottery:
+class Lottery(Measure):
     """Probability measure: nonnegative entries of total one."""
 
-    __slots__ = ("measure",)
+    __slots__ = ()
 
-    def __init__(self, measure: Measure):
-        if any(v < 0 for v in measure.entries.values()):
+    def __init__(self, space: OutcomeSpace, entries: Mapping[int, RationalLike]):
+        super().__init__(space, entries)
+        if any(v < 0 for v in self.entries.values()):
             raise NotLotteryError("lottery entries must be nonnegative")
-        if measure.total() != 1:
-            raise NotLotteryError(f"lottery mass must be exactly 1, got {measure.total()}")
-        self.measure = measure
+        if self.total() != 1:
+            raise NotLotteryError(f"lottery mass must be exactly 1, got {self.total()}")
 
     @classmethod
     def point_mass(cls, space: OutcomeSpace, label: str) -> "Lottery":
-        return cls(Measure(space, {space.position(label): Fraction(1)}))
-
-    @classmethod
-    def from_mapping(cls, space: OutcomeSpace, mapping: Mapping[str, RationalLike]) -> "Lottery":
-        return cls(Measure.from_mapping(space, mapping))
-
-    @classmethod
-    def from_values(cls, space: OutcomeSpace, values: Sequence[RationalLike]) -> "Lottery":
-        return cls(Measure.from_values(space, values))
-
-    @property
-    def space(self) -> OutcomeSpace:
-        return self.measure.space
-
-    def value(self, label: str) -> Fraction:
-        return self.measure.value(label)
-
-    def dense(self) -> tuple[Fraction, ...]:
-        return self.measure.dense()
-
-    def support(self) -> tuple[str, ...]:
-        return self.measure.support()
-
-    def __sub__(self, other: "Lottery") -> Measure:
-        return self.measure - other.measure
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Lottery) and self.measure == other.measure
-
-    def __hash__(self) -> int:
-        return hash(("lottery", self.measure))
-
-    def __repr__(self) -> str:
-        body = {z: str(self.value(z)) for z in self.support()}
-        return f"Lottery({body!r})"
+        return cls(space, {space.position(label): Fraction(1)})
 
 
 class Utility:
@@ -263,16 +230,6 @@ class Utility:
         f = as_fraction(c)
         return Utility(self.space, [f * v for v in self.values])
 
-    def __add__(self, other: "Utility") -> "Utility":
-        _same_space(self.space, other.space)
-        return Utility(self.space, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "Utility") -> "Utility":
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Utility)
@@ -296,14 +253,7 @@ class Decomposition:
     minus: Lottery
 
 
-MeasureLike = Union[Measure, Lottery]
-
-
-def _as_measure(m: MeasureLike) -> Measure:
-    return m.measure if isinstance(m, Lottery) else m
-
-
-def expectation(p: MeasureLike, u: Utility) -> Fraction:
+def expectation(p: Measure, u: Utility) -> Fraction:
     """Exact expected payoff sum_z u(z) p(z).
 
     >>> space = OutcomeSpace(["a", "b"])
@@ -311,17 +261,16 @@ def expectation(p: MeasureLike, u: Utility) -> Fraction:
     >>> expectation(p, Utility(space, [3, 1]))
     Fraction(2, 1)
     """
-    m = _as_measure(p)
-    _same_space(m.space, u.space)
+    _same_space(p.space, u.space)
     total = _ZERO
-    for i, v in m.entries.items():
+    for i, v in p.entries.items():
         total += u.values[i] * v
     return total
 
 
-def norm(x: MeasureLike) -> Fraction:
+def norm(x: Measure) -> Fraction:
     """Total-variation norm: sum of absolute values of the entries."""
-    return sum((abs(v) for v in _as_measure(x).entries.values()), _ZERO)
+    return sum((abs(v) for v in x.entries.values()), _ZERO)
 
 
 def decompose(x: Measure) -> Decomposition:
@@ -346,7 +295,9 @@ def decompose(x: Measure) -> Decomposition:
     minus = x.negative_part()
     alpha = plus.total()
     inv = 1 / alpha
-    return Decomposition(alpha, Lottery(plus.scale(inv)), Lottery(minus.scale(inv)))
+    return Decomposition(
+        alpha, Lottery(x.space, plus.scale(inv).entries), Lottery(x.space, minus.scale(inv).entries)
+    )
 
 
 def mix(alpha: RationalLike, p: Lottery, q: Lottery) -> Lottery:
@@ -354,5 +305,4 @@ def mix(alpha: RationalLike, p: Lottery, q: Lottery) -> Lottery:
     a = as_fraction(alpha)
     if not 0 <= a <= 1:
         raise MixtureRangeError(f"mixture weight must lie in [0, 1], got {a}")
-    _same_space(p.space, q.space)
-    return Lottery(p.measure.scale(a) + q.measure.scale(1 - a))
+    return Lottery(p.space, (p.scale(a) + q.scale(1 - a)).entries)

@@ -338,7 +338,11 @@ def test_represent_verify_checks_every_statement_exactly(tmp_path, monkeypatch):
     code, out, err = run_cli("represent", "--input", data, "--pin", "c", "--verify")
     assert code == 1 and out == ""
     body = json.loads(err)["error"]
-    assert body["kind"] == "verify" and "violated by extracted utility" in body["message"]
+    assert body["kind"] == "verify"
+    assert body["message"] == (
+        "statement Lottery({'a': '1'}) over Lottery({'b': '1'}) "
+        "violated by extracted utility Utility(['1/3', '1/2', '0'])"
+    )
 
 
 def test_package_exports_no_submodules():

@@ -44,6 +44,21 @@ def test_empty_generators_give_zero_cone():
     assert not contains(c, (1, 0, 0))
 
 
+def test_cone_refuses_coordinates_that_are_not_ints():
+    # truncated, (1/2, 0) would become the zero ray and (1, 0) would answer OUT
+    for bad in [(Fraction(1, 2), 0), (Fraction(1), 0), (1.9, 0.2), ("1", 0), (True, 0)]:
+        for kwargs in ({"rays": [bad]}, {"lineality": [bad]}, {"inequalities": [bad]}):
+            with pytest.raises(TypeError, match=r"vector \(.*\) has an entry that is not an int"):
+                PolyhedralCone(2, **kwargs)
+    for dim in (2.5, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="ambient dimension must be an int"):
+            PolyhedralCone(dim)
+    c = PolyhedralCone(2, rays=[(1, 0)])
+    assert (c.dim, c.rays, c.lineality) == (2, ((1, 0),), ())
+    assert membership(c, (1, 0)).verdict == IN
+    assert membership(c, (0, 1)).verdict == OUT
+
+
 def test_single_ray():
     c = cone_from_generators([(1, -1)])
     assert c.rays == ((1, -1),)

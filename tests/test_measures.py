@@ -76,11 +76,44 @@ def test_space_mismatch():
 
 
 def test_lottery_validation():
-    with pytest.raises(NotLotteryError):
-        lottery(AB, 2, -1)
-    with pytest.raises(NotLotteryError):
-        lottery(AB, "1/2", "1/4")
+    # every constructor runs both lottery checks
+    for values, message in [((2, -1), "nonnegative"), (("1/2", "1/4"), "mass must be exactly 1, got 3/4")]:
+        with pytest.raises(NotLotteryError, match=message):
+            Lottery(AB, dict(enumerate(values)))
+        with pytest.raises(NotLotteryError, match=message):
+            Lottery.from_mapping(AB, dict(zip(AB.outcomes, values)))
+        with pytest.raises(NotLotteryError, match=message):
+            lottery(AB, *values)
+    with pytest.raises(NotLotteryError, match="got 0"):
+        Lottery.zero(AB)
+    # no label makes a point mass fail the checks, but it is built through them
+    assert type(Lottery.point_mass(AB, "b")) is Lottery
     assert Lottery.point_mass(AB, "b").dense() == (0, 1)
+
+
+def test_lottery_arithmetic_returns_plain_measures():
+    assert issubclass(Lottery, Measure)
+    p, q = lottery(ABC, "1/2", "1/2", 0), lottery(ABC, 0, "1/4", "3/4")
+    for result, dense in [
+        (p - q, (Fraction(1, 2), Fraction(1, 4), Fraction(-3, 4))),
+        (p + q, (Fraction(1, 2), Fraction(3, 4), Fraction(3, 4))),
+        (p.scale(2), (1, 1, 0)),
+        (p.scale(1), (Fraction(1, 2), Fraction(1, 2), 0)),
+        (-p, (Fraction(-1, 2), Fraction(-1, 2), 0)),
+    ]:
+        assert type(result) is Measure
+        assert result.dense() == dense
+
+
+def test_lottery_equals_the_measure_with_its_entries():
+    p = lottery(ABC, "1/2", 0, "1/2")
+    m = Measure.from_values(ABC, ["1/2", 0, "1/2"])
+    assert repr(p) == "Lottery({'a': '1/2', 'c': '1/2'})"
+    assert repr(m) == "Measure({'a': '1/2', 'c': '1/2'})"
+    assert p == m and m == p and hash(p) == hash(m)
+    assert len({p, m}) == 1
+    assert expectation(p, Utility(ABC, [4, 0, 2])) == expectation(m, Utility(ABC, [4, 0, 2])) == 3
+    assert norm(p) == norm(m) == 1
 
 
 def test_expectation_point_mass():
