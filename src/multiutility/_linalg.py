@@ -10,10 +10,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
+
+
+class Cleared(NamedTuple):
+    """A rational vector as integer numerators over one positive denominator."""
+
+    nums: IntVector
+    den: int
+
+    def __neg__(self) -> "Cleared":
+        return Cleared(vec_neg(self.nums), self.den)
 
 
 def vec_neg(a: Sequence) -> Vector:
@@ -31,10 +41,10 @@ def is_zero(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
-def clear_denominators(a: Sequence) -> tuple[list[int], int]:
+def clear_denominators(a: Sequence) -> Cleared:
     """Integer numerators of a vector of ints or Fractions over the lcm of its denominators."""
     den = lcm(*(x.denominator for x in a))
-    return [x.numerator * (den // x.denominator) for x in a], den
+    return Cleared(tuple([x.numerator * (den // x.denominator) for x in a]), den)
 
 
 def primitive(a: Sequence) -> IntVector:

@@ -109,24 +109,19 @@ def _verify_representation(rep, dataset: PreferenceDataset) -> None:
         if u.value(rep.pin) != 0:
             raise VerificationError(f"utility {u!r} not pinned to zero at {rep.pin!r}")
     # E_p[u] >= E_q[u] iff <p - q, u> >= 0, a sign that positive scaling keeps
-    values = [clear_denominators(u.values)[0] for u in rep.utilities]
     for p, q in dataset.statements:
-        diff, _ = clear_denominators((p - q).dense())
-        for u, vals in zip(rep.utilities, values):
+        diff = clear_denominators((p - q).dense()).nums
+        for u, vals in zip(rep.utilities, rep.cleared_utilities):
             if dot(diff, vals) < 0:
-                raise VerificationError(
-                    f"statement {p!r} over {q!r} violated by extracted utility {u!r}"
-                )
+                raise VerificationError(f"statement {p!r} over {q!r} violated by extracted utility {u!r}")
 
 
-def _verify_verdict(rep, p, q, verdict) -> None:
-    diff = (p - q).dense()
-    neg = [-v for v in diff]
-    if not verify_membership(rep.cone, diff, verdict.forward):
-        raise VerificationError("forward certificate failed recheck")
-    if not verify_membership(rep.cone, neg, verdict.backward):
-        raise VerificationError("backward certificate failed recheck")
-    if utilities_agree(rep, p, q) != verdict.classification:
+def _verify_verdict(rep, verdict) -> None:
+    diff = verdict.difference
+    for side, x, cert in (("forward", diff, verdict.forward), ("backward", -diff, verdict.backward)):
+        if not verify_membership(rep.cone, x, cert):
+            raise VerificationError(f"{side} certificate failed recheck")
+    if utilities_agree(rep, diff) != verdict.classification:
         raise VerificationError("utility-by-utility classification disagrees with cone verdict")
 
 
@@ -164,7 +159,7 @@ def _run(args) -> str:
         rep = extract_representation(dataset, pin)
         verdict = query(rep, p, q)
         if args.verify:
-            _verify_verdict(rep, p, q, verdict)
+            _verify_verdict(rep, verdict)
         return dump_json(verdict_to_json(verdict))
 
     if verb == "classify-batch":
@@ -174,8 +169,8 @@ def _run(args) -> str:
         rep = extract_representation(dataset, pin)
         verdicts = [query(rep, p, q) for p, q in pairs]
         if args.verify:
-            for (p, q), v in zip(pairs, verdicts):
-                _verify_verdict(rep, p, q, v)
+            for v in verdicts:
+                _verify_verdict(rep, v)
         return dump_json({"verdicts": [verdict_to_json(v) for v in verdicts]})
 
     if verb == "equal-reps":

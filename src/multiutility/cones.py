@@ -14,7 +14,7 @@ checkable certificate: conic coefficients when the vector lies inside, an
 integer separating functional when it does not.
 
 The kernel is exact and integer: ``_echelon`` and ``_reduce`` are the one
-elimination, and a queried vector is cleared to integers on entry.
+elimination, and a queried vector is cleared to integers once (``as_cleared``).
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._linalg import (
+    Cleared,
     IntVector,
     clear_denominators,
     dot,
@@ -146,12 +147,13 @@ def _cross_check(rays, lineality, ineqs) -> None:
                 raise ValueError(f"representations disagree: lineality {l} not on row {h}")
 
 
-def _coerce_vector(x: Sequence, dim: int) -> tuple[list[int], int]:
-    """x as integer numerators over one positive denominator: x == nums / den."""
-    vec = [as_fraction(v) for v in x]
-    if len(vec) != dim:
-        raise DimensionMismatchError(f"expected a vector of length {dim}, got {len(vec)}")
-    return clear_denominators(vec)
+def as_cleared(x: Sequence | Cleared, dim: int) -> Cleared:
+    """x as integer numerators over one positive denominator; a ``Cleared`` x is taken as it is."""
+    if not isinstance(x, Cleared):
+        x = clear_denominators([as_fraction(v) for v in x])
+    if len(x.nums) != dim:
+        raise DimensionMismatchError(f"expected a vector of length {dim}, got {len(x.nums)}")
+    return x
 
 
 # -- construction -----------------------------------------------------------
@@ -338,7 +340,7 @@ def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone
     the same.  This is the one double description pass: every other
     conversion reads its answer off a cone built here.
     """
-    int_rows = [h for h in dict.fromkeys(primitive(_coerce_vector(r, dim)[0]) for r in rows) if not is_zero(h)]
+    int_rows = [h for h in dict.fromkeys(primitive(as_cleared(r, dim).nums) for r in rows) if not is_zero(h)]
     lin, rays = _double_description(dim, int_rows)
     lin_c, rays_c = _canonical_vrep(lin, rays)
     return PolyhedralCone(dim, rays_c, lin_c, inequalities=tuple(int_rows))
@@ -371,7 +373,7 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
 # -- membership ---------------------------------------------------------------
 
 
-def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
+def membership(cone: PolyhedralCone, x: Sequence | Cleared) -> MembershipCertificate:
     """Exact membership verdict with a checkable certificate.
 
     IN comes with conic coefficients over the cone's directed generators,
@@ -381,10 +383,10 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
     functional recovered from the LP's Farkas dual.  Rows and LP see x's
     integer numerators; Bland's rule sees the right-hand side only through
     signs and ratios, so the LP pivots and separates as it would on x.  The
-    certificate is rechecked by :func:`verify_membership` before being
-    returned; a failed recheck raises :class:`CertificateError`.
+    certificate is rechecked on those numerators by :func:`verify_membership`
+    before being returned; a failed recheck raises :class:`CertificateError`.
     """
-    vec, den = _coerce_vector(x, cone.dim)
+    vec, den = x = as_cleared(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         violated = next((h for h in rows if dot(h, vec) < 0), None)
@@ -403,17 +405,10 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
 
     res = _hull_lp(vec, gens, lins)
     if res.status == OPTIMAL:
-        combo: list[tuple[int, Fraction]] = []
-        nrays, nlins = len(gens), len(lins)
-        for j in range(nrays):
-            if res.solution[j] != 0:
-                combo.append((j, res.solution[j]))
-        for j in range(nlins):
-            mu = res.solution[nrays + j]
-            if mu > 0:
-                combo.append((nrays + j, mu))
-            elif mu < 0:
-                combo.append((nrays + nlins + j, -mu))
+        # rays, then each lineality vector or its negation (directed generators' order)
+        n, m = len(gens), len(lins)
+        combo = [(j, c) for j, c in enumerate(res.solution[:n]) if c]
+        combo += [(n + j if mu > 0 else n + m + j, abs(mu)) for j, mu in enumerate(res.solution[n:]) if mu]
         # the LP solved for den * x
         return _certified(cone, x, MembershipCertificate(IN, combination=tuple((j, c / den) for j, c in combo)))
     if res.status != INFEASIBLE:
@@ -421,15 +416,15 @@ def membership(cone: PolyhedralCone, x: Sequence) -> MembershipCertificate:
     return _certified(cone, x, MembershipCertificate(OUT, separator=primitive(vec_neg(res.duals))))
 
 
-def _certified(cone: PolyhedralCone, x: Sequence, cert: MembershipCertificate) -> MembershipCertificate:
+def _certified(cone: PolyhedralCone, x: Cleared, cert: MembershipCertificate) -> MembershipCertificate:
     if not verify_membership(cone, x, cert):
         raise CertificateError(f"{cert.verdict} certificate failed its arithmetic recheck")
     return cert
 
 
-def contains(cone: PolyhedralCone, x: Sequence) -> bool:
+def contains(cone: PolyhedralCone, x: Sequence | Cleared) -> bool:
     """Membership verdict only; uses the cone's inequality rows when it has them."""
-    vec, _ = _coerce_vector(x, cone.dim)
+    vec, _ = as_cleared(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         return all(dot(h, vec) >= 0 for h in rows)
@@ -438,16 +433,16 @@ def contains(cone: PolyhedralCone, x: Sequence) -> bool:
     return _hull_lp(vec, cone.rays, cone.lineality).status == OPTIMAL
 
 
-def verify_membership(cone: PolyhedralCone, x: Sequence, cert: MembershipCertificate) -> bool:
+def verify_membership(cone: PolyhedralCone, x: Sequence | Cleared, cert: MembershipCertificate) -> bool:
     """Recheck a certificate by plain integer arithmetic, no LP involved.
 
     IN scales the coefficients by their lcm and x by its denominator.
     """
-    vec, den = _coerce_vector(x, cone.dim)
-    gens = cone.directed_generators
+    vec, den = as_cleared(x, cone.dim)
     if cert.verdict == IN:
         if cert.combination is None:
             return False
+        gens = cone.directed_generators
         coeffs, scale = clear_denominators([c for _, c in cert.combination])
         acc = [0] * cone.dim
         for (idx, _), c in zip(cert.combination, coeffs):

@@ -108,20 +108,19 @@ def parse_space(obj: Any, path: str = "outcomes") -> OutcomeSpace:
         raise SchemaError(str(exc), path) from None
 
 
-def parse_measure(obj: Any, space: OutcomeSpace, path: str) -> Measure:
+def _parse_entries(obj: Any, space: OutcomeSpace, path: str) -> dict[int, Fraction]:
     mapping = _expect_dict(obj, path)
     entries = {}
     for label, raw in mapping.items():
         if label not in space:
             raise SchemaError(f"unknown outcome {label!r}", f"{path}.{label}")
-        entries[label] = parse_rational(raw, f"{path}.{label}")
-    return Measure.from_mapping(space, entries)
+        entries[space.position(label)] = parse_rational(raw, f"{path}.{label}")
+    return entries
 
 
 def parse_lottery(obj: Any, space: OutcomeSpace, path: str) -> Lottery:
-    m = parse_measure(obj, space, path)
     try:
-        return Lottery(space, m.entries)
+        return Lottery(space, _parse_entries(obj, space, path))
     except NotLotteryError as exc:
         raise SchemaError(str(exc), path) from None
 
@@ -199,7 +198,8 @@ def parse_measure_input(obj: Any) -> Measure:
     for key in ("outcomes", "measure"):
         if key not in root:
             raise SchemaError("missing key", key)
-    return parse_measure(root["measure"], parse_space(root["outcomes"]), "measure")
+    space = parse_space(root["outcomes"])
+    return Measure(space, _parse_entries(root["measure"], space, "measure"))
 
 
 def parse_utility_set(obj: Any) -> tuple[OutcomeSpace, list[Utility]]:

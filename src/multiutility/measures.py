@@ -52,9 +52,7 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise TypeError(f"refusing float {value!r}; pass int, Fraction, or 'num/den' string")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
@@ -108,7 +106,7 @@ def _same_space(a: OutcomeSpace, b: OutcomeSpace) -> None:
 
 
 class Measure:
-    """Finite signed measure: sparse map index -> nonzero Fraction."""
+    """Finite signed measure: sparse map index -> nonzero Fraction; arithmetic skips revalidation."""
 
     __slots__ = ("space", "entries")
 
@@ -154,27 +152,27 @@ class Measure:
         return not self.entries
 
     def positive_part(self) -> "Measure":
-        return Measure(self.space, {i: v for i, v in self.entries.items() if v > 0})
+        return _measure(self.space, {i: v for i, v in self.entries.items() if v > 0})
 
     def negative_part(self) -> "Measure":
-        return Measure(self.space, {i: -v for i, v in self.entries.items() if v < 0})
+        return _measure(self.space, {i: -v for i, v in self.entries.items() if v < 0})
 
     def scale(self, c: RationalLike) -> "Measure":
         f = as_fraction(c)
-        return Measure(self.space, {i: f * v for i, v in self.entries.items()})
+        return _measure(self.space, {i: f * v for i, v in self.entries.items()} if f else {})
 
     def __add__(self, other: "Measure") -> "Measure":
         _same_space(self.space, other.space)
         merged = dict(self.entries)
         for i, v in other.entries.items():
-            merged[i] = merged.get(i, _ZERO) + v
-        return Measure(self.space, merged)
+            merged[i] = merged[i] + v if i in merged else v
+        return _measure(self.space, {i: v for i, v in merged.items() if v})
 
     def __sub__(self, other: "Measure") -> "Measure":
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> "Measure":
-        return self.scale(-1)
+        return _measure(self.space, {i: -v for i, v in self.entries.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -189,6 +187,13 @@ class Measure:
     def __repr__(self) -> str:
         body = {self.space.outcomes[i]: str(v) for i, v in sorted(self.entries.items())}
         return f"{type(self).__name__}({body!r})"
+
+
+def _measure(space: OutcomeSpace, entries: dict[int, Fraction]) -> Measure:
+    """A plain Measure, unvalidated: entries are already nonzero Fractions at valid indices."""
+    m = object.__new__(Measure)
+    m.space, m.entries = space, entries
+    return m
 
 
 class Lottery(Measure):

@@ -13,13 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
-from ._linalg import clear_denominators, dot, is_zero, primitive
+from ._linalg import Cleared, clear_denominators, dot, is_zero, primitive
 from .cones import (
     DimensionMismatchError,
     MembershipCertificate,
     PolyhedralCone,
+    as_cleared,
     canonical_rep,
     cone_from_inequalities,
     contains,
@@ -93,14 +95,20 @@ class Representation:
     dual: PolyhedralCone
     pin: str
 
+    @cached_property
+    def cleared_utilities(self) -> tuple[tuple[int, ...], ...]:
+        """Each utility's integer numerators, cleared once per instance."""
+        return tuple(clear_denominators(u.values).nums for u in self.utilities)
+
 
 @dataclass(frozen=True)
 class QueryVerdict:
-    """Classification of an ordered lottery pair with both certificates."""
+    """Classification of an ordered lottery pair (p, q), its certificates and p - q cleared."""
 
     classification: str
     forward: MembershipCertificate
     backward: MembershipCertificate
+    difference: Cleared
 
 
 def extract_representation(dataset: PreferenceDataset, pin: str) -> Representation:
@@ -143,10 +151,10 @@ def query(rep: Representation, p: Lottery, q: Lottery) -> QueryVerdict:
     """
     if p.space != rep.space or q.space != rep.space:
         raise SpaceMismatchError("query lotteries must live on the representation space")
-    diff = (p - q).dense()
+    diff = clear_denominators((p - q).dense())
     forward = membership(rep.cone, diff)
-    backward = membership(rep.cone, [-v for v in diff])
-    return QueryVerdict(_classify(forward.verdict == "IN", backward.verdict == "IN"), forward, backward)
+    backward = membership(rep.cone, -diff)
+    return QueryVerdict(_classify(forward.verdict == "IN", backward.verdict == "IN"), forward, backward, diff)
 
 
 def check_uniqueness(first: Iterable[Utility], second: Iterable[Utility]) -> bool:
@@ -247,24 +255,20 @@ def check_independence_closure(dataset: PreferenceDataset, samples: int = 100, s
         if not contains(cone, mixed):
             return False
         a, b = _random_lottery(rng, space), _random_lottery(rng, space)
-        plain = (a - b).dense()
-        mixed_ab = (mix(alpha, a, r) - mix(alpha, b, r)).dense()
-        if contains(cone, plain) != contains(cone, mixed_ab):
-            return False
-        if contains(cone, [-v for v in plain]) != contains(cone, [-v for v in mixed_ab]):
+        plain = clear_denominators((a - b).dense())
+        mixed_ab = clear_denominators((mix(alpha, a, r) - mix(alpha, b, r)).dense())
+        if any(contains(cone, x) != contains(cone, y) for x, y in ((plain, mixed_ab), (-plain, -mixed_ab))):
             return False
     return True
 
 
-def utilities_agree(rep: Representation, p: Lottery, q: Lottery) -> str:
+def utilities_agree(rep: Representation, x: Sequence | Cleared) -> str:
     """Classification recomputed from expectations against every utility.
 
-    E_p[u] - E_q[u] = <p - q, u>, whose sign positive scaling keeps, so one
-    integer dot product per utility decides both directions.  Independent of
-    the cone-membership route; used to cross-check queries.
+    x is p - q, dense or ``Cleared``.  E_p[u] - E_q[u] = <p - q, u>, whose sign positive
+    scaling keeps, so one integer dot product per utility decides both directions.
+    Independent of the cone-membership route; used to cross-check queries.
     """
-    if p.space != rep.space or q.space != rep.space:
-        raise SpaceMismatchError("query lotteries must live on the representation space")
-    diff, _ = clear_denominators((p - q).dense())
-    gaps = [dot(diff, clear_denominators(u.values)[0]) for u in rep.utilities]
+    diff = as_cleared(x, len(rep.space)).nums
+    gaps = [dot(diff, u) for u in rep.cleared_utilities]
     return _classify(all(g >= 0 for g in gaps), all(g <= 0 for g in gaps))

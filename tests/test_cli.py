@@ -10,7 +10,7 @@ from types import ModuleType
 import pytest
 
 import multiutility
-from multiutility import Utility, cli, cones, counterexample
+from multiutility import Measure, Utility, _linalg, cli, cones, counterexample, preferences
 from multiutility.cli import main
 
 CHAIN = {
@@ -348,3 +348,71 @@ def test_represent_verify_checks_every_statement_exactly(tmp_path, monkeypatch):
 def test_package_exports_no_submodules():
     assert "membership" in multiutility.__all__ and "CertificateError" in multiutility.__all__
     assert not [n for n in multiutility.__all__ if isinstance(getattr(multiutility, n), ModuleType)]
+
+
+def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, monkeypatch):
+    # operation counts, not times: one p - q and one clearing per pair, one clearing per utility
+    dataset = {
+        "outcomes": ["a", "b", "c", "d"],
+        "prefers": [
+            {"p": {"a": 1}, "q": {"b": "1/2", "c": "1/2"}},
+            {"p": {"b": "2/3", "d": "1/3"}, "q": {"c": 1}},
+            {"p": {"c": "1/4", "d": "3/4"}, "q": {"a": "1/3", "d": "2/3"}},
+        ],
+    }
+    queries = [
+        ({"a": 1}, {"c": 1}),
+        ({"c": 1}, {"a": 1}),
+        ({"a": "1/2", "d": "1/2"}, {"b": 1}),
+        ({"d": 1}, {"a": "1/5", "b": "4/5"}),
+        ({"b": 1}, {"b": 1}),
+        ({"a": "1/3", "b": "1/3", "c": "1/3"}, {"d": 1}),
+        ({"a": 1}, {"b": "1/2", "c": "1/2"}),
+    ]
+    batch = {"queries": [{"p": p, "q": q} for p, q in queries]}
+    inside, reps = [], []
+    subtractions, clears, raw_vectors = [], [], []
+
+    extract, sub = cli.extract_representation, Measure.__sub__
+    clear, as_cleared = _linalg.clear_denominators, cones.as_cleared
+
+    def tracked_extract(*args):
+        inside.append(True)
+        reps.append(extract(*args))
+        inside.pop()
+        return reps[-1]
+
+    def counted_sub(self, other):
+        if not inside:
+            subtractions.append(1)
+        return sub(self, other)
+
+    def counted_clear(a):
+        if not inside:
+            clears.append(a)
+        return clear(a)
+
+    def counted_as_cleared(x, dim):
+        if not inside and not isinstance(x, _linalg.Cleared):
+            raw_vectors.append(x)
+        return as_cleared(x, dim)
+
+    monkeypatch.setattr(cli, "extract_representation", tracked_extract)
+    monkeypatch.setattr(Measure, "__sub__", counted_sub)
+    for module in (cli, preferences):
+        monkeypatch.setattr(module, "clear_denominators", counted_clear)
+    for module in (cones, preferences):
+        monkeypatch.setattr(module, "as_cleared", counted_as_cleared)
+    data, pairs = write(tmp_path, "d.json", dataset), write(tmp_path, "q.json", batch)
+    code, out, err = run_cli("classify-batch", "--input", data, "--input", pairs, "--verify")
+    assert code == 0 and err == ""
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == len(queries) and len({v["classification"] for v in verdicts}) >= 3
+    (rep,) = reps
+    assert len(rep.utilities) >= 2
+    assert len(subtractions) == len(queries)
+    # each utility exactly once, and besides them one difference per pair
+    assert [sum(a is u.values for a in clears) for u in rep.utilities] == [1] * len(rep.utilities)
+    assert len(clears) == len(queries) + len(rep.utilities)
+    # membership, both rechecks and utilities_agree all take the cleared difference as it is
+    assert raw_vectors == []

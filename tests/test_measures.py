@@ -224,3 +224,45 @@ def random_signed(rng, space):
     return Measure.from_values(
         space, [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in space.outcomes]
     )
+
+
+def assert_built_like_the_validating_constructor(m, space):
+    # arithmetic skips revalidation, so its results must already be what Measure(...) would build
+    rebuilt = Measure(space, m.entries)
+    assert type(m) is Measure
+    assert m == rebuilt and hash(m) == hash(rebuilt) and repr(m) == repr(rebuilt)
+    assert all(type(v) is Fraction and v != 0 and 0 <= i < len(space) for i, v in m.entries.items())
+
+
+def test_arithmetic_results_equal_validated_measures():
+    rng = random.Random(19)
+    space = OutcomeSpace(["a", "b", "c", "d"])
+    for _ in range(200):
+        x = random_signed(rng, space) if rng.random() < 0.7 else random_lottery(rng, space)
+        y = random_signed(rng, space) if rng.random() < 0.7 else random_lottery(rng, space)
+        # a copy of x with some entries negated makes those entries cancel in x + z
+        z = Measure(space, {i: -v if rng.random() < 0.5 else v for i, v in x.entries.items()})
+        c = rng.choice([0, -1, 1, Fraction(rng.randint(-5, 5), rng.randint(1, 4)), "2/3"])
+        results = [x + y, x - y, x + z, x - x, x + (-x), -x, x.scale(c), x.scale(0), x.scale(-1)]
+        results += [x.positive_part(), x.negative_part()]
+        for m in results:
+            assert_built_like_the_validating_constructor(m, space)
+        assert (x - x).is_zero() and x.scale(0).is_zero()
+        assert (x + z).dense() == tuple(a + b for a, b in zip(x.dense(), z.dense()))
+        assert x.scale(c).dense() == tuple(Fraction(c) * a for a in x.dense())
+
+
+def test_lottery_arithmetic_is_built_directly_and_still_checked():
+    p = lottery(ABC, "1/2", "1/2", 0)
+    q = lottery(ABC, 0, "1/2", "1/2")
+    for m in [p - q, p + q, p.scale("1/3"), -p, p - p]:
+        assert_built_like_the_validating_constructor(m, ABC)
+    assert (p - q).entries == {0: Fraction(1, 2), 2: Fraction(-1, 2)}
+    with pytest.raises(SpaceMismatchError):
+        p - lottery(AB, 1, 0)
+    with pytest.raises(SpaceMismatchError):
+        Measure.zero(AB) + p
+    with pytest.raises(TypeError):
+        p.scale(0.5)
+    with pytest.raises(TypeError):
+        Measure.from_values(ABC, [1, -1, 0]).scale(1.0)
