@@ -35,12 +35,13 @@ from .jsonio import (
 from .measures import decompose
 from .preferences import (
     PreferenceDataset,
+    _agree_cleared,
+    _cleared_difference,
+    _query_cleared,
     check_uniqueness,
     extract_representation,
     first_violation,
     monotone_extend,
-    query,
-    utilities_agree,
 )
 
 
@@ -110,18 +111,21 @@ def _verify_representation(rep, dataset: PreferenceDataset) -> None:
             raise VerificationError(f"utility {u!r} not pinned to zero at {rep.pin!r}")
     # E_p[u] >= E_q[u] iff <p - q, u> >= 0, a sign that positive scaling keeps
     for p, q in dataset.statements:
-        diff = clear_denominators((p - q).dense()).nums
+        diff, _ = clear_denominators((p - q).dense())
         for u, vals in zip(rep.utilities, rep.cleared_utilities):
             if dot(diff, vals) < 0:
-                raise VerificationError(f"statement {p!r} over {q!r} violated by extracted utility {u!r}")
+                raise VerificationError(
+                    f"statement {p!r} over {q!r} violated by extracted utility {u!r}"
+                )
 
 
-def _verify_verdict(rep, verdict) -> None:
-    diff = verdict.difference
-    for side, x, cert in (("forward", diff, verdict.forward), ("backward", -diff, verdict.backward)):
-        if not verify_membership(rep.cone, x, cert):
-            raise VerificationError(f"{side} certificate failed recheck")
-    if utilities_agree(rep, diff) != verdict.classification:
+def _verify_verdict(rep, diff, verdict) -> None:
+    # diff is the input pair's p - q, cleared once and shared with the query
+    if not verify_membership(rep.cone, diff, verdict.forward):
+        raise VerificationError("forward certificate failed recheck")
+    if not verify_membership(rep.cone, -diff, verdict.backward):
+        raise VerificationError("backward certificate failed recheck")
+    if _agree_cleared(rep, diff) != verdict.classification:
         raise VerificationError("utility-by-utility classification disagrees with cone verdict")
 
 
@@ -157,9 +161,10 @@ def _run(args) -> str:
         dataset, pin, _ = _dataset_and_pin(args, raw_dataset)
         p, q = parse_query_pair(raw_pair, dataset.space)
         rep = extract_representation(dataset, pin)
-        verdict = query(rep, p, q)
+        diff = _cleared_difference(rep, p, q)
+        verdict = _query_cleared(rep, diff)
         if args.verify:
-            _verify_verdict(rep, verdict)
+            _verify_verdict(rep, diff, verdict)
         return dump_json(verdict_to_json(verdict))
 
     if verb == "classify-batch":
@@ -167,10 +172,11 @@ def _run(args) -> str:
         dataset, pin, _ = _dataset_and_pin(args, raw_dataset)
         pairs = parse_query_batch(raw_batch, dataset.space)
         rep = extract_representation(dataset, pin)
-        verdicts = [query(rep, p, q) for p, q in pairs]
+        diffs = [_cleared_difference(rep, p, q) for p, q in pairs]
+        verdicts = [_query_cleared(rep, d) for d in diffs]
         if args.verify:
-            for v in verdicts:
-                _verify_verdict(rep, v)
+            for d, v in zip(diffs, verdicts):
+                _verify_verdict(rep, d, v)
         return dump_json({"verdicts": [verdict_to_json(v) for v in verdicts]})
 
     if verb == "equal-reps":

@@ -14,7 +14,7 @@ checkable certificate: conic coefficients when the vector lies inside, an
 integer separating functional when it does not.
 
 The kernel is exact and integer: ``_echelon`` and ``_reduce`` are the one
-elimination, and a queried vector is cleared to integers once (``as_cleared``).
+elimination, and a queried vector is cleared to integers on entry.
 """
 from __future__ import annotations
 
@@ -147,8 +147,11 @@ def _cross_check(rays, lineality, ineqs) -> None:
                 raise ValueError(f"representations disagree: lineality {l} not on row {h}")
 
 
-def as_cleared(x: Sequence | Cleared, dim: int) -> Cleared:
-    """x as integer numerators over one positive denominator; a ``Cleared`` x is taken as it is."""
+def _coerce_vector(x: Sequence | Cleared, dim: int) -> Cleared:
+    """x as integer numerators over one positive denominator: x == nums / den.
+
+    A ``Cleared`` x (a query's p - q, cleared once by ``preferences``) is taken as it is.
+    """
     if not isinstance(x, Cleared):
         x = clear_denominators([as_fraction(v) for v in x])
     if len(x.nums) != dim:
@@ -340,7 +343,7 @@ def cone_from_inequalities(rows: Iterable[Sequence], dim: int) -> PolyhedralCone
     the same.  This is the one double description pass: every other
     conversion reads its answer off a cone built here.
     """
-    int_rows = [h for h in dict.fromkeys(primitive(as_cleared(r, dim).nums) for r in rows) if not is_zero(h)]
+    int_rows = [h for h in dict.fromkeys(primitive(_coerce_vector(r, dim)[0]) for r in rows) if not is_zero(h)]
     lin, rays = _double_description(dim, int_rows)
     lin_c, rays_c = _canonical_vrep(lin, rays)
     return PolyhedralCone(dim, rays_c, lin_c, inequalities=tuple(int_rows))
@@ -386,7 +389,7 @@ def membership(cone: PolyhedralCone, x: Sequence | Cleared) -> MembershipCertifi
     certificate is rechecked on those numerators by :func:`verify_membership`
     before being returned; a failed recheck raises :class:`CertificateError`.
     """
-    vec, den = x = as_cleared(x, cone.dim)
+    vec, den = x = _coerce_vector(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         violated = next((h for h in rows if dot(h, vec) < 0), None)
@@ -405,10 +408,17 @@ def membership(cone: PolyhedralCone, x: Sequence | Cleared) -> MembershipCertifi
 
     res = _hull_lp(vec, gens, lins)
     if res.status == OPTIMAL:
-        # rays, then each lineality vector or its negation (directed generators' order)
-        n, m = len(gens), len(lins)
-        combo = [(j, c) for j, c in enumerate(res.solution[:n]) if c]
-        combo += [(n + j if mu > 0 else n + m + j, abs(mu)) for j, mu in enumerate(res.solution[n:]) if mu]
+        combo: list[tuple[int, Fraction]] = []
+        nrays, nlins = len(gens), len(lins)
+        for j in range(nrays):
+            if res.solution[j] != 0:
+                combo.append((j, res.solution[j]))
+        for j in range(nlins):
+            mu = res.solution[nrays + j]
+            if mu > 0:
+                combo.append((nrays + j, mu))
+            elif mu < 0:
+                combo.append((nrays + nlins + j, -mu))
         # the LP solved for den * x
         return _certified(cone, x, MembershipCertificate(IN, combination=tuple((j, c / den) for j, c in combo)))
     if res.status != INFEASIBLE:
@@ -424,7 +434,7 @@ def _certified(cone: PolyhedralCone, x: Cleared, cert: MembershipCertificate) ->
 
 def contains(cone: PolyhedralCone, x: Sequence | Cleared) -> bool:
     """Membership verdict only; uses the cone's inequality rows when it has them."""
-    vec, _ = as_cleared(x, cone.dim)
+    vec, _ = _coerce_vector(x, cone.dim)
     rows = cone._inequalities
     if rows is not None:
         return all(dot(h, vec) >= 0 for h in rows)
@@ -438,7 +448,7 @@ def verify_membership(cone: PolyhedralCone, x: Sequence | Cleared, cert: Members
 
     IN scales the coefficients by their lcm and x by its denominator.
     """
-    vec, den = as_cleared(x, cone.dim)
+    vec, den = _coerce_vector(x, cone.dim)
     if cert.verdict == IN:
         if cert.combination is None:
             return False

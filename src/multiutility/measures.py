@@ -52,7 +52,9 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise TypeError(f"refusing float {value!r}; pass int, Fraction, or 'num/den' string")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

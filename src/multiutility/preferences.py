@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._linalg import Cleared, clear_denominators, dot, is_zero, primitive
 from .cones import (
     DimensionMismatchError,
     MembershipCertificate,
     PolyhedralCone,
-    as_cleared,
     canonical_rep,
     cone_from_inequalities,
     contains,
@@ -103,12 +102,11 @@ class Representation:
 
 @dataclass(frozen=True)
 class QueryVerdict:
-    """Classification of an ordered lottery pair (p, q), its certificates and p - q cleared."""
+    """Classification of an ordered lottery pair with both certificates."""
 
     classification: str
     forward: MembershipCertificate
     backward: MembershipCertificate
-    difference: Cleared
 
 
 def extract_representation(dataset: PreferenceDataset, pin: str) -> Representation:
@@ -149,12 +147,20 @@ def query(rep: Representation, p: Lottery, q: Lottery) -> QueryVerdict:
     extracted utility's expectations gives the same answer (the dual cone is
     generated by the utility set up to constants); tests cross-check that.
     """
+    return _query_cleared(rep, _cleared_difference(rep, p, q))
+
+
+def _cleared_difference(rep: Representation, p: Lottery, q: Lottery) -> Cleared:
+    """p - q over the representation's space, cleared to integers once per pair."""
     if p.space != rep.space or q.space != rep.space:
         raise SpaceMismatchError("query lotteries must live on the representation space")
-    diff = clear_denominators((p - q).dense())
+    return clear_denominators((p - q).dense())
+
+
+def _query_cleared(rep: Representation, diff: Cleared) -> QueryVerdict:
     forward = membership(rep.cone, diff)
     backward = membership(rep.cone, -diff)
-    return QueryVerdict(_classify(forward.verdict == "IN", backward.verdict == "IN"), forward, backward, diff)
+    return QueryVerdict(_classify(forward.verdict == "IN", backward.verdict == "IN"), forward, backward)
 
 
 def check_uniqueness(first: Iterable[Utility], second: Iterable[Utility]) -> bool:
@@ -257,18 +263,23 @@ def check_independence_closure(dataset: PreferenceDataset, samples: int = 100, s
         a, b = _random_lottery(rng, space), _random_lottery(rng, space)
         plain = clear_denominators((a - b).dense())
         mixed_ab = clear_denominators((mix(alpha, a, r) - mix(alpha, b, r)).dense())
-        if any(contains(cone, x) != contains(cone, y) for x, y in ((plain, mixed_ab), (-plain, -mixed_ab))):
+        if contains(cone, plain) != contains(cone, mixed_ab):
+            return False
+        if contains(cone, -plain) != contains(cone, -mixed_ab):
             return False
     return True
 
 
-def utilities_agree(rep: Representation, x: Sequence | Cleared) -> str:
+def utilities_agree(rep: Representation, p: Lottery, q: Lottery) -> str:
     """Classification recomputed from expectations against every utility.
 
-    x is p - q, dense or ``Cleared``.  E_p[u] - E_q[u] = <p - q, u>, whose sign positive
-    scaling keeps, so one integer dot product per utility decides both directions.
-    Independent of the cone-membership route; used to cross-check queries.
+    E_p[u] - E_q[u] = <p - q, u>, whose sign positive scaling keeps, so one
+    integer dot product per utility decides both directions.  Independent of
+    the cone-membership route; used to cross-check queries.
     """
-    diff = as_cleared(x, len(rep.space)).nums
-    gaps = [dot(diff, u) for u in rep.cleared_utilities]
+    return _agree_cleared(rep, _cleared_difference(rep, p, q))
+
+
+def _agree_cleared(rep: Representation, diff: Cleared) -> str:
+    gaps = [dot(diff.nums, u) for u in rep.cleared_utilities]
     return _classify(all(g >= 0 for g in gaps), all(g <= 0 for g in gaps))

@@ -163,7 +163,7 @@ def test_criterion_3_cone_and_utility_answers_coincide():
             p = random_lottery(rng, dataset.space)
             q = random_lottery(rng, dataset.space)
             via_cone = query(rep, p, q).classification
-            via_utilities = utilities_agree(rep, (p - q).dense())
+            via_utilities = utilities_agree(rep, p, q)
             if via_cone != via_utilities:
                 failures.append(
                     f"trial {trial}: cone says {via_cone}, utilities say {via_utilities}"
@@ -202,7 +202,7 @@ def test_query_routes_agree_past_five_outcomes():
             by_rows = (verdict.forward.verdict, verdict.backward.verdict)
             by_hull = (membership(hull, diff).verdict, membership(hull, neg).verdict)
             assert by_rows == by_hull, (trial, k)
-            assert utilities_agree(rep, diff) == verdict.classification, (trial, k)
+            assert utilities_agree(rep, p, q) == verdict.classification, (trial, k)
             if len(diffs) <= 8 and k < 2:
                 oracle_checked += 1
                 assert by_rows == tuple(IN if oracle_membership(diffs, x) else OUT for x in (diff, neg)), (trial, k)

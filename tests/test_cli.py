@@ -374,7 +374,7 @@ def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, m
     subtractions, clears, raw_vectors = [], [], []
 
     extract, sub = cli.extract_representation, Measure.__sub__
-    clear, as_cleared = _linalg.clear_denominators, cones.as_cleared
+    clear, coerce = _linalg.clear_denominators, cones._coerce_vector
 
     def tracked_extract(*args):
         inside.append(True)
@@ -392,17 +392,16 @@ def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, m
             clears.append(a)
         return clear(a)
 
-    def counted_as_cleared(x, dim):
+    def counted_coerce(x, dim):
         if not inside and not isinstance(x, _linalg.Cleared):
             raw_vectors.append(x)
-        return as_cleared(x, dim)
+        return coerce(x, dim)
 
     monkeypatch.setattr(cli, "extract_representation", tracked_extract)
     monkeypatch.setattr(Measure, "__sub__", counted_sub)
     for module in (cli, preferences):
         monkeypatch.setattr(module, "clear_denominators", counted_clear)
-    for module in (cones, preferences):
-        monkeypatch.setattr(module, "as_cleared", counted_as_cleared)
+    monkeypatch.setattr(cones, "_coerce_vector", counted_coerce)
     data, pairs = write(tmp_path, "d.json", dataset), write(tmp_path, "q.json", batch)
     code, out, err = run_cli("classify-batch", "--input", data, "--input", pairs, "--verify")
     assert code == 0 and err == ""
@@ -414,5 +413,34 @@ def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, m
     # each utility exactly once, and besides them one difference per pair
     assert [sum(a is u.values for a in clears) for u in rep.utilities] == [1] * len(rep.utilities)
     assert len(clears) == len(queries) + len(rep.utilities)
-    # membership, both rechecks and utilities_agree all take the cleared difference as it is
+    # both membership calls and both rechecks take the cleared difference as it is
     assert raw_vectors == []
+
+
+def _swapped(verdict):
+    return replace(verdict, forward=verdict.backward, backward=verdict.forward)
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        # certificates for q - p instead of p - q
+        (lambda query, rep, diff: query(rep, -diff), "forward certificate failed recheck"),
+        (lambda query, rep, diff: _swapped(query(rep, diff)), "forward certificate failed recheck"),
+        (
+            lambda query, rep, diff: replace(query(rep, diff), classification="INCOMPARABLE"),
+            "utility-by-utility classification disagrees with cone verdict",
+        ),
+    ],
+    ids=["sign-flipped", "swapped", "misclassified"],
+)
+def test_verify_rechecks_the_verdict_against_the_input_pair(tmp_path, monkeypatch, doctor, message):
+    # the CLI clears the input's p - q itself and rechecks the query's answer on it
+    query = cli._query_cleared
+    monkeypatch.setattr(cli, "_query_cleared", lambda rep, diff: doctor(query, rep, diff))
+    data = write(tmp_path, "chain.json", CHAIN)
+    pair = write(tmp_path, "pair.json", {"p": {"a": 1}, "q": {"c": 1}})
+    assert run_cli("query", "--input", data, "--input", pair)[0] == 0
+    code, out, err = run_cli("query", "--input", data, "--input", pair, "--verify")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"kind": "verify", "message": message}

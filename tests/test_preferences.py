@@ -221,7 +221,7 @@ def test_utilities_agree_with_query():
         for _ in range(10):
             p = random_lottery(rng, ABC)
             q = random_lottery(rng, ABC)
-            assert query(rep, p, q).classification == utilities_agree(rep, (p - q).dense())
+            assert query(rep, p, q).classification == utilities_agree(rep, p, q)
 
 
 def test_utilities_agree_on_fraction_utilities_built_by_hand():
@@ -248,7 +248,7 @@ def test_utilities_agree_on_fraction_utilities_built_by_hand():
             q = p if rng.random() < 0.2 else random_lottery(rng, space)
             forward = all(expectation(p, u) >= expectation(q, u) for u in us)
             backward = all(expectation(q, u) >= expectation(p, u) for u in us)
-            assert utilities_agree(rep, (p - q).dense()) == classes[forward, backward], (us, p, q)
+            assert utilities_agree(rep, p, q) == classes[forward, backward], (us, p, q)
             seen.add(classes[forward, backward])
     assert seen == set(classes.values())
 
