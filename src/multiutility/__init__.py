@@ -61,7 +61,6 @@ from .preferences import (
     QueryVerdict,
     Representation,
     check_increasing,
-    check_independence_closure,
     check_uniqueness,
     extract_representation,
     monotone_extend,

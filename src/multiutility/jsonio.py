@@ -75,6 +75,10 @@ def load_json(path: str) -> Any:
         raise SchemaError(
             f"invalid JSON in {path}: {exc.msg}", path="", line=exc.lineno, column=exc.colno
         ) from None
+    except RecursionError:
+        raise SchemaError(f"invalid JSON in {path}: nested too deeply", path="") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid JSON in {path}: not UTF-8 ({exc.reason})", path="") from None
 
 
 def dump_json(obj: Any) -> str:

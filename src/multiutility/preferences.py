@@ -10,9 +10,7 @@ verdict can be rechecked by plain arithmetic.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -23,19 +21,15 @@ from .cones import (
     PolyhedralCone,
     canonical_rep,
     cone_from_inequalities,
-    contains,
     dual_cone,
     membership,
 )
 from .measures import (
     Lottery,
-    Measure,
     OutcomeSpace,
     SpaceMismatchError,
     UnknownOutcomeError,
     Utility,
-    decompose,
-    mix,
 )
 
 ENTAILED_ONLY = "ENTAILED_ONLY"
@@ -200,74 +194,6 @@ def first_violation(u: Utility, ranking: MonotoneStructure) -> tuple[str, str] |
         if u.value(a) < u.value(b):
             return (a, b)
     return None
-
-
-# -- self-test sampling --------------------------------------------------------
-
-
-def _random_rational(rng: random.Random, max_den: int = 6, max_num: int = 4) -> Fraction:
-    return Fraction(rng.randint(0, max_num), rng.randint(1, max_den))
-
-
-def _random_lottery(rng: random.Random, space: OutcomeSpace) -> Lottery:
-    n = len(space)
-    den = rng.randint(1, 9)
-    cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return Lottery.from_values(space, [Fraction(k, den) for k in parts])
-
-
-def _random_entailed_pair(
-    rng: random.Random, dataset: PreferenceDataset
-) -> tuple[Lottery, Lottery]:
-    """A pair (p, q) with p - q in the data cone, built from the statements."""
-    space = dataset.space
-    total = Measure.zero(space)
-    for p, q in dataset.statements:
-        if rng.randint(0, 1):
-            continue
-        total = total + (p - q).scale(_random_rational(rng))
-    if total.is_zero():
-        r = _random_lottery(rng, space)
-        return r, r
-    split = decompose(total)
-    return split.plus, split.minus
-
-
-def check_independence_closure(dataset: PreferenceDataset, samples: int = 100, seed: int = 0) -> bool:
-    """Sampled self-test of the independence axiom on the entailment closure.
-
-    Draws pseudo-random rational triples (p, q, r) with p entailed over q and
-    a mixing weight alpha in (0, 1), then verifies that mixing both sides
-    with r leaves the verdict unchanged in both directions; additional
-    unconstrained pairs exercise the non-entailed side.  Deterministic for a
-    fixed seed.  Returns True only if every sample agrees.
-    """
-    rng = random.Random(seed)
-    space = dataset.space
-    # the representation's cone carries inequality rows: verdicts are dot products
-    cone = extract_representation(dataset, space.outcomes[0]).cone
-    for _ in range(samples):
-        if dataset.statements:
-            p, q = _random_entailed_pair(rng, dataset)
-            if not contains(cone, (p - q).dense()):
-                return False
-        else:
-            p = q = _random_lottery(rng, space)
-        r = _random_lottery(rng, space)
-        den = rng.randint(2, 9)
-        alpha = Fraction(rng.randint(1, den - 1), den)
-        mixed = (mix(alpha, p, r) - mix(alpha, q, r)).dense()
-        if not contains(cone, mixed):
-            return False
-        a, b = _random_lottery(rng, space), _random_lottery(rng, space)
-        plain = clear_denominators((a - b).dense())
-        mixed_ab = clear_denominators((mix(alpha, a, r) - mix(alpha, b, r)).dense())
-        if contains(cone, plain) != contains(cone, mixed_ab):
-            return False
-        if contains(cone, -plain) != contains(cone, -mixed_ab):
-            return False
-    return True
 
 
 def utilities_agree(rep: Representation, p: Lottery, q: Lottery) -> str:

@@ -22,7 +22,6 @@ from multiutility import (
     build_truncation,
     canonical_rep,
     check_increasing,
-    check_independence_closure,
     check_uniqueness,
     cone_equal,
     cone_from_generators,
@@ -41,6 +40,7 @@ from multiutility.linprog import ExactLP
 from multiutility.preferences import utilities_agree
 
 from oracles import oracle_decompose, oracle_membership
+from test_metamorphic import mixing_mismatches, moderate_dataset, query_pairs, random_lottery
 
 
 def report(num, description, failures):
@@ -58,13 +58,6 @@ def random_cone_generators(rng, dim, max_gens, bound=5):
     ]
 
 
-def random_lottery(rng, space, max_den=6):
-    den = rng.randint(1, max_den)
-    cuts = sorted(rng.randint(0, den) for _ in range(len(space) - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return Lottery.from_values(space, [Fraction(k, den) for k in parts])
-
-
 def random_dataset(rng):
     size = rng.randint(2, 5)
     space = OutcomeSpace([f"z{i}" for i in range(size)])
@@ -73,15 +66,6 @@ def random_dataset(rng):
         for _ in range(rng.randint(0, 6))
     )
     return PreferenceDataset(space, statements)
-
-
-def moderate_dataset(n, m):
-    """m random statements on n outcomes, seeded n*100 + m."""
-    rng = random.Random(n * 100 + m)
-    space = OutcomeSpace([f"z{i}" for i in range(n)])
-    return PreferenceDataset(
-        space, tuple((random_lottery(rng, space), random_lottery(rng, space)) for _ in range(m))
-    )
 
 
 def test_dual_ray_counts_of_moderate_datasets():
@@ -183,19 +167,12 @@ def test_query_routes_agree_past_five_outcomes():
         statements = tuple(
             (random_lottery(rng, space), random_lottery(rng, space)) for _ in range(rng.randint(2, 20))
         )
-        rep = extract_representation(PreferenceDataset(space, statements), pin="z0")
+        dataset = PreferenceDataset(space, statements)
+        rep = extract_representation(dataset, pin="z0")
         diffs = [(p - q).dense() for p, q in statements]
         hull = cone_from_generators(diffs, dim=len(space))
         assert rep.cone._inequalities is not None and hull._inequalities is None
-        for k in range(8):
-            total = Measure.zero(space)
-            for p, q in statements:
-                total = total + (p - q).scale(Fraction(rng.randint(0, 3), rng.randint(1, 3)))
-            if k % 2 or total.is_zero():
-                p, q = random_lottery(rng, space), random_lottery(rng, space)
-            else:
-                split = decompose(total)
-                p, q = split.plus, split.minus
+        for k, (p, q, _) in enumerate(query_pairs(rng, dataset, 8)):
             diff = (p - q).dense()
             neg = [-v for v in diff]
             verdict = query(rep, p, q)
@@ -331,6 +308,6 @@ def test_criterion_9_independence_closure_self_test():
     failures = []
     for trial in range(100):
         dataset = random_dataset(rng)
-        if not check_independence_closure(dataset, samples=100, seed=trial):
-            failures.append(f"closure self-test failed at trial {trial}")
+        # 100 pairs, half built inside the data cone, each also mixed with a lottery
+        failures += [f"trial {trial}: {m}" for m in mixing_mismatches(random.Random(trial), dataset, 100)]
     report(9, "independence closure holds on 100 datasets x 100 samples", failures)

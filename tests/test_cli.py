@@ -237,6 +237,19 @@ def test_parse_error_carries_position(tmp_path):
     assert body["line"] == 2 and "column" in body
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"[" * 100_000 + b"]" * 100_000, "nested too deeply"), (b"\xff{}", "not UTF-8 (invalid start byte)")],
+    ids=["deep", "latin"],
+)
+def test_undecodable_input_is_invalid_json(tmp_path, content, reason):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli("represent", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"kind": "schema", "message": f"invalid JSON in {path}: {reason}"}
+
+
 def test_float_input_rejected_with_path(tmp_path):
     doc = {"outcomes": ["a", "b"], "prefers": [{"p": {"a": 0.5, "b": 0.5}, "q": {"b": 1}}]}
     data = write(tmp_path, "floats.json", doc)

@@ -34,7 +34,7 @@ from multiutility.cones import (
 from multiutility.linprog import OPTIMAL, ExactLP
 
 from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership, oracle_rref
-from test_acceptance import moderate_dataset
+from test_metamorphic import moderate_dataset
 
 
 def test_empty_generators_give_zero_cone():
