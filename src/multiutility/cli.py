@@ -6,8 +6,9 @@ machine-readable JSON object on stderr and a nonzero exit code.  With
 --verify every emitted certificate is rechecked by plain arithmetic before
 the output is written.  The lab table is built once per size; --verify
 rechecks each size's OUT certificate against that size's own construction,
-in integers: the separator must pay >= 0 on every generator and < 0 on the
-anchor, and the separation cost must exceed n - 2 and never decrease.
+on its integer generator vectors: the separator must pay >= 0 on every
+generator and < 0 on the anchor, and the separation cost must exceed n - 2
+and never decrease.
 """
 from __future__ import annotations
 
@@ -131,16 +132,15 @@ def _verify_verdict(rep, diff, verdict) -> None:
 
 def _verify_anchor_separation(trunc, cert) -> None:
     # the separator must pay >= 0 on every generator and < 0 on the anchor;
-    # clearing denominators scales each vector positively, keeping the sign
-    def pays(m):
-        return dot(cert.separator, clear_denominators(m.dense())[0])
-
+    # a generator's primitive integer vector is a positive multiple of it,
+    # so paying on that vector keeps the sign
+    sep = cert.separator
     if (
         cert.verdict != OUT
-        or cert.separator is None
-        or len(cert.separator) != len(trunc.space)
-        or pays(trunc.anchor) >= 0
-        or any(pays(g) < 0 for g in trunc.generators)
+        or sep is None
+        or len(sep) != len(trunc.space)
+        or dot(sep, trunc.anchor.dense()) >= 0
+        or any(dot(sep, g) < 0 for g in trunc.int_generators)
     ):
         raise VerificationError(f"anchor certificate at n={trunc.n} failed recheck")
 
@@ -257,8 +257,7 @@ def main(argv=None) -> int:
         _emit_error("usage", str(exc))
         return 2
     except SchemaError as exc:
-        kind = "parse" if exc.line is not None else "schema"
-        _emit_error(kind, exc.message, path=exc.path or None, line=exc.line, column=exc.column)
+        _emit_error(exc.kind, exc.message, path=exc.path or None, line=exc.line, column=exc.column)
         return 1
     except VerificationError as exc:
         _emit_error("verify", str(exc))

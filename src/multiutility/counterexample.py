@@ -12,7 +12,8 @@ g({b1..bn}) sequences as the subsets grow, yet it stays strictly outside
 every finite truncation's cone: any separating functional normalized to pay
 -1 on the anchor must pay at least |B| on the average generator over B, so
 the cost of separating grows without bound as n does.  The lab makes that
-growth observable with exact numbers.
+growth observable with exact numbers: a certified closed-form cost, and
+each generator cleared to a primitive integer vector once, when it is built.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._linalg import primitive
+from ._linalg import IntVector, primitive
 from .cones import OUT, MembershipCertificate, PolyhedralCone, membership, verify_membership
 from .linprog import OPTIMAL, CertificateError, ExactLP
 from .measures import Measure, OutcomeSpace
@@ -40,6 +41,7 @@ class TruncatedConstruction:
     space: OutcomeSpace
     anchor: Measure
     generators: tuple[Measure, ...]
+    int_generators: tuple[IntVector, ...]  # primitive(g.dense()) for each generator g, in order
 
 
 def _pair_difference(space: OutcomeSpace, label: str) -> Measure:
@@ -66,7 +68,8 @@ def build_truncation(n: int) -> TruncatedConstruction:
             for i in subset:
                 total = total + singles[i].scale(weight)
             generators.append(total)
-    return TruncatedConstruction(n, space, anchor, tuple(generators))
+    ints = tuple([primitive(g.dense()) for g in generators])
+    return TruncatedConstruction(n, space, anchor, tuple(generators), ints)
 
 
 def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
@@ -85,7 +88,7 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
     generic LP route.
     """
     n = trunc.n
-    cone = PolyhedralCone(len(trunc.space), sorted(primitive(g.dense()) for g in trunc.generators))
+    cone = PolyhedralCone(len(trunc.space), sorted(trunc.int_generators))
     target = trunc.anchor.dense()
     sep = tuple([-1] + [n] * n + [1] + [-n] * n)
     cert = MembershipCertificate(OUT, separator=sep)
@@ -97,34 +100,26 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
 def separation_cost(trunc: TruncatedConstruction) -> Fraction:
     """Cheapest worst case over singletons for a normalized separator.
 
-    Solves, exactly: minimize M subject to f(anchor) = -1, f(g) >= 0 for
-    every generator g, and f(anchor + e(b)) <= M for every b.  Every
-    constraint sees f only through its values on the paired differences
-    e(a), e(b1)..e(bn), so the problem reduces to those n+1 coordinates;
-    with f(anchor) pinned to -1 the rows become sums over subsets.  The
-    reduced problem is solved through its one-row LP dual, and the answer is
-    certified unconditionally by exact arithmetic: the dual solution is a
-    weak-duality lower bound and a reconstructed primal witness must be
-    feasible with the same objective.  If certification ever failed the full
-    reduced primal would be solved directly by simplex.
+    Minimize M subject to f(anchor) = -1, f(g) >= 0 for every generator g,
+    and f(anchor + e(b)) <= M for every b.  The constraints see f only
+    through w_i = f(e(b_i)), so the rows read sum over B of w_i >= |B|^2
+    and w_i - M <= 1; the dual is max sum |B|^2 lam_B - 1 subject to
+    sum |B| lam_B = 1, lam >= 0.  The answer is the closed form n - 1 from
+    lam = 1/n on the full subset, certified by exact arithmetic on every
+    call: that lam is dual feasible, so value - 1 is a weak-duality lower
+    bound, and the uniform primal witness w = value, M = value - 1 is
+    feasible, so the bound is attained.  Should a check fail, the reduced
+    primal is solved directly by simplex.
     """
     n = trunc.n
-    subsets = [
-        subset
-        for size in range(1, n + 1)
-        for subset in combinations(range(n), size)
-    ]
-    # dual: max sum |B|^2 lam_B  subject to  sum |B| lam_B = 1, lam >= 0
-    lp = ExactLP(len(subsets))
-    lp.add([len(s) for s in subsets], "==", 1)
-    res = lp.maximize([len(s) * len(s) for s in subsets])
-    if res.status == OPTIMAL:
-        lam = res.solution
-        if all(v >= 0 for v in lam) and sum(len(s) * v for s, v in zip(subsets, lam)) == 1:
-            value = sum(Fraction(len(s) * len(s)) * v for s, v in zip(subsets, lam))
-            # witness: uniform w = value, M = value - 1
-            if all(len(s) * value >= len(s) * len(s) for s in subsets):
-                return value - 1
+    lam = Fraction(1, n)  # on the full subset; every other lam_B is 0
+    value = n * n * lam
+    # each primal row depends only on |B|, so the witness is checked per size
+    if lam >= 0 and n * lam == 1 and value - (value - 1) <= 1 and all(
+        size * value >= size * size for size in range(1, n + 1)
+    ):
+        return value - 1
+    subsets = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
     return _separation_cost_primal(n, subsets)
 
 

@@ -28,16 +28,20 @@ from .preferences import MonotoneStructure, PreferenceDataset, QueryVerdict, Rep
 class SchemaError(ValueError):
     """Input does not match the expected schema.
 
-    ``path`` locates the offending element ("prefers[2].p.win"); ``line``
-    and ``column`` are set for JSON syntax errors.
+    ``path`` locates the offending element ("prefers[2].p.win").  ``kind``
+    is "parse" for input that is not JSON at all, with ``line`` and
+    ``column`` where the parser reports a position.
     """
 
-    def __init__(self, message: str, path: str = "", line: int | None = None, column: int | None = None):
+    def __init__(
+        self, message: str, path: str = "", line: int | None = None, column: int | None = None, kind: str = "schema"
+    ):
         super().__init__(message if not path else f"{path}: {message}")
         self.message = message
         self.path = path
         self.line = line
         self.column = column
+        self.kind = kind
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -73,12 +77,12 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}", path="") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(
-            f"invalid JSON in {path}: {exc.msg}", path="", line=exc.lineno, column=exc.colno
+            f"invalid JSON in {path}: {exc.msg}", line=exc.lineno, column=exc.colno, kind="parse"
         ) from None
     except RecursionError:
-        raise SchemaError(f"invalid JSON in {path}: nested too deeply", path="") from None
+        raise SchemaError(f"invalid JSON in {path}: nested too deeply", kind="parse") from None
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: not UTF-8 ({exc.reason})", path="") from None
+        raise SchemaError(f"invalid JSON in {path}: not UTF-8 ({exc.reason})", kind="parse") from None
 
 
 def dump_json(obj: Any) -> str:

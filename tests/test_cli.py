@@ -151,10 +151,30 @@ def test_decompose_rejects_unbalanced(tmp_path):
     assert json.loads(err)["error"]["kind"] == "validation"
 
 
+LAB_CSV_12 = """\
+n,generators,anchor,cost
+1,1,OUT,0
+2,3,OUT,1
+3,7,OUT,2
+4,15,OUT,3
+5,31,OUT,4
+6,63,OUT,5
+7,127,OUT,6
+8,255,OUT,7
+9,511,OUT,8
+10,1023,OUT,9
+11,2047,OUT,10
+12,4095,OUT,11
+"""
+
+
 def test_counterexample_csv():
     code, out, err = run_cli("counterexample", "--n", "4", "--verify")
     assert code == 0 and err == ""
     assert out == "n,generators,anchor,cost\n1,1,OUT,0\n2,3,OUT,1\n3,7,OUT,2\n4,15,OUT,3\n"
+    # the full lab, rows 9-12 included, with and without the recheck
+    for argv in (["--verify"], []):
+        assert run_cli("counterexample", "--n", "12", *argv) == (0, LAB_CSV_12, "")
 
 
 def test_counterexample_verify_rechecks_each_size_from_its_own_certificate(monkeypatch):
@@ -247,7 +267,8 @@ def test_undecodable_input_is_invalid_json(tmp_path, content, reason):
     path.write_bytes(content)
     code, out, err = run_cli("represent", "--input", str(path))
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == {"kind": "schema", "message": f"invalid JSON in {path}: {reason}"}
+    # not JSON, though without a position: kind parse, and no line or column keys
+    assert json.loads(err)["error"] == {"kind": "parse", "message": f"invalid JSON in {path}: {reason}"}
 
 
 def test_float_input_rejected_with_path(tmp_path):

@@ -10,10 +10,13 @@ from multiutility import (
     lab_table,
     separation_cost,
 )
+from multiutility._linalg import primitive
 from multiutility.cones import OUT
 from multiutility.measures import Measure
 from multiutility.counterexample import _separation_cost_primal
 from itertools import combinations
+
+from test_cones import _spy_on_lp
 
 
 def test_build_smallest():
@@ -55,6 +58,13 @@ def test_build_matches_the_definition():
         assert t.generators == tuple(expected)
 
 
+def test_integer_generators_are_the_primitive_generators_in_order():
+    for n in range(1, 9):
+        t = build_truncation(n)
+        assert t.int_generators == tuple(primitive(g.dense()) for g in t.generators)
+        assert all(type(v) is int for g in t.int_generators for v in g)
+
+
 def test_build_counts_and_zero_sum():
     t = build_truncation(3)
     assert len(t.generators) == 7
@@ -92,8 +102,15 @@ def test_separation_cost_values():
         assert separation_cost(build_truncation(n)) == n - 1
 
 
+def test_separation_cost_is_certified_without_an_lp(monkeypatch):
+    calls = _spy_on_lp(monkeypatch)
+    for n in range(1, 13):
+        assert separation_cost(build_truncation(n)) == n - 1
+    assert calls == []
+
+
 def test_separation_cost_matches_direct_simplex():
-    for n in range(1, 5):
+    for n in range(1, 7):
         subsets = [
             s
             for size in range(1, n + 1)
