@@ -18,10 +18,9 @@ elimination, and a queried vector is cleared to integers on entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._linalg import (
     Cleared,
@@ -47,8 +46,7 @@ class EmptyUtilitySetError(ValueError):
     """A representation requires at least one utility."""
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """Checkable answer to a cone membership query.
 
     IN: ``combination`` lists (index, coefficient) pairs over the cone's
@@ -224,7 +222,11 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
     and go.  Two rays are adjacent exactly when no third ray's zero set
     contains the intersection of theirs (Fukuda & Prodon), which holds
     because the rays stay distinct modulo the lineality.  A popcount bound,
-    dim - |lineality| - 2, filters first.
+    dim - |lineality| - 2, filters first.  The containment test is indexed:
+    at each insertion every inserted row gets the bitmask of the positions
+    of the rays that lie on it, and a pair ANDs the masks of the rows in its
+    intersection into the mask of the other rays until none is left (the
+    pair is kept) or the rows run out (a wider face; the pair is dropped).
     """
     lineality: list[IntVector] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
@@ -275,14 +277,28 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
         rest.remove(k)
         del sides[k]
         bit = 1 << k
-        plus = [(r, z, vals[r][k]) for r, z in rays.items() if vals[r][k] > 0]
-        minus = [(r, z, vals[r][k]) for r, z in rays.items() if vals[r][k] < 0]
-        new_rays = [(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z in rays.items() if vals[r][k] == 0]
-        for rp, zp, vp in plus:
-            for rm, zm, vm in minus:
+        # on[b]: bitmask of the positions of the rays lying on the inserted row with bit b
+        on: dict[int, int] = {}
+        for i, z in enumerate(rays.values()):
+            while z:
+                b = z & -z  # lowest set bit
+                on[b] = on.get(b, 0) | 1 << i
+                z ^= b
+        every = (1 << len(rays)) - 1
+        plus = [(r, z, vals[r][k], 1 << i) for i, (r, z) in enumerate(rays.items()) if vals[r][k] > 0]
+        minus = [(r, z, vals[r][k], 1 << i) for i, (r, z) in enumerate(rays.items()) if vals[r][k] < 0]
+        new_rays = [(r, z) for r, z, _, _ in plus] + [(r, z | bit) for r, z in rays.items() if vals[r][k] == 0]
+        for rp, zp, vp, ip in plus:
+            for rm, zm, vm, im in minus:
                 common = zp & zm
-                # rp and rm contain common themselves; a third ray that does is a wider face
-                if common.bit_count() < target or sum(z & common == common for z in rays.values()) > 2:
+                if common.bit_count() < target:
+                    continue
+                # rp and rm lie on every row of common; a third ray that does is a wider face
+                others, c = every ^ ip ^ im, common
+                while others and c:
+                    others &= on[c & -c]
+                    c &= c - 1
+                if others:
                     continue
                 # vp*rm - vm*rp lands exactly on the new hyperplane
                 new_rays.append((primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm))), common | bit))

@@ -17,9 +17,9 @@ each generator cleared to a primitive integer vector once, when it is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from ._linalg import IntVector, primitive
 from .cones import OUT, MembershipCertificate, PolyhedralCone, membership, verify_membership
@@ -33,8 +33,7 @@ class TruncationRangeError(ValueError):
     """Truncation size outside the supported range 1..12."""
 
 
-@dataclass(frozen=True)
-class TruncatedConstruction:
+class TruncatedConstruction(NamedTuple):
     """Size-n truncation: outcome space, anchor vector, subset generators."""
 
     n: int

@@ -30,7 +30,8 @@ class SchemaError(ValueError):
 
     ``path`` locates the offending element ("prefers[2].p.win").  ``kind``
     is "parse" for input that is not JSON at all, with ``line`` and
-    ``column`` where the parser reports a position.
+    ``column`` where the parser reports a position, and "io" for input that
+    cannot be read.
     """
 
     def __init__(
@@ -74,7 +75,7 @@ def load_json(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}", path="") from None
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}", kind="io") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"invalid JSON in {path}: {exc.msg}", line=exc.lineno, column=exc.colno, kind="parse"

@@ -15,10 +15,9 @@ to zero with free-variable columns, and satisfies <y, b> > 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._linalg import clear_denominators
 from .measures import as_fraction
@@ -34,8 +33,7 @@ class CertificateError(RuntimeError):
     """An exact result failed its own arithmetic recheck: a defect, never bad input."""
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     """Outcome of an exact solve.
 
     ``duals`` carries one multiplier per constraint in insertion order: the

@@ -9,9 +9,8 @@ lotteries returns plain measures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 
 class SpaceMismatchError(ValueError):
@@ -251,8 +250,7 @@ class Utility:
         return f"Utility({[str(v) for v in self.values]!r})"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Scaled split x = alpha * (plus - minus) into orthogonal lotteries."""
 
     alpha: Fraction

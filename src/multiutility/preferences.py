@@ -10,9 +10,8 @@ verdict can be rechecked by plain arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._linalg import Cleared, clear_denominators, dot, is_zero, primitive
 from .cones import (
@@ -38,38 +37,62 @@ INDIFFERENT = "INDIFFERENT"
 INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
-class PreferenceDataset:
+def _validated(cls, fields):
+    # _replace builds through _make; calling the class runs __new__'s checks
+    return cls(*fields)
+
+
+class _Statements(NamedTuple):
+    space: OutcomeSpace
+    statements: tuple[tuple[Lottery, Lottery], ...]
+
+
+class PreferenceDataset(_Statements):
     """Finite list of revealed weak-preference statements (p over q).
 
     Duplicates are allowed; they collapse once the difference vectors are
     canonicalized inside the cone.
     """
 
-    space: OutcomeSpace
-    statements: tuple[tuple[Lottery, Lottery], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p, q in self.statements:
-            if p.space != self.space or q.space != self.space:
+    def __new__(cls, space: OutcomeSpace, statements: tuple[tuple[Lottery, Lottery], ...]):
+        for p, q in statements:
+            if p.space != space or q.space != space:
                 raise SpaceMismatchError("statement lotteries must live on the dataset space")
+        return super().__new__(cls, space, statements)
+
+    _make = classmethod(_validated)
 
 
-@dataclass(frozen=True)
-class MonotoneStructure:
-    """Exogenous ranking of outcomes: pairs (better, worse)."""
-
+class _Ranking(NamedTuple):
     space: OutcomeSpace
     pairs: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        for a, b in self.pairs:
-            if a not in self.space or b not in self.space:
+
+class MonotoneStructure(_Ranking):
+    """Exogenous ranking of outcomes: pairs (better, worse)."""
+
+    __slots__ = ()
+
+    def __new__(cls, space: OutcomeSpace, pairs: tuple[tuple[str, str], ...]):
+        for a, b in pairs:
+            if a not in space or b not in space:
                 raise UnknownOutcomeError(f"ranking pair ({a!r}, {b!r}) uses unknown outcomes")
+        return super().__new__(cls, space, pairs)
+
+    _make = classmethod(_validated)
 
 
-@dataclass(frozen=True)
-class Representation:
+class _Extracted(NamedTuple):
+    space: OutcomeSpace
+    utilities: tuple[Utility, ...]
+    cone: PolyhedralCone
+    dual: PolyhedralCone
+    pin: str
+
+
+class Representation(_Extracted):
     """Multi-utility representation extracted from a dataset.
 
     ``utilities`` is never empty; each one is pinned to payoff zero at
@@ -79,14 +102,10 @@ class Representation:
     lineality always contains the constant direction.  ``cone``, the data
     cone those differences span, is read off it by ``dual_cone``: canonical,
     with ``dual.directed_generators`` as its inequality rows, so membership
-    answers OUT with the first row the queried vector violates.
+    answers OUT with the first row the queried vector violates.  Instances
+    have no ``__slots__``, so ``cleared_utilities`` caches in a per-instance
+    dict that ``_replace`` starts afresh.
     """
-
-    space: OutcomeSpace
-    utilities: tuple[Utility, ...]
-    cone: PolyhedralCone
-    dual: PolyhedralCone
-    pin: str
 
     @cached_property
     def cleared_utilities(self) -> tuple[tuple[int, ...], ...]:
@@ -94,8 +113,7 @@ class Representation:
         return tuple(clear_denominators(u.values).nums for u in self.utilities)
 
 
-@dataclass(frozen=True)
-class QueryVerdict:
+class QueryVerdict(NamedTuple):
     """Classification of an ordered lottery pair with both certificates."""
 
     classification: str

@@ -145,6 +145,57 @@ def oracle_double_description(dim, rows):
     return lineality, rays
 
 
+def scan_double_description(dim, rows):
+    """The package's double description pass with the adjacency test written as a scan.
+
+    Same insertion order, same ray bookkeeping, and the same output format:
+    (lineality basis, dict of rays in order, each mapped to the bitmask of
+    the rows it lies on).  A plus ray and a minus ray are combined when the
+    intersection of their zero sets passes the popcount bound and lies in
+    the zero sets of no third ray, counted by scanning every ray.
+    """
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = {}
+    done = 0
+    rest = []
+    for k, a in enumerate(rows):
+        lin_vals = [_dot(a, l) for l in lineality]
+        cut = next((i for i, v in enumerate(lin_vals) if v != 0), None)
+        if cut is None:
+            rest.append(k)
+            continue
+        l0, d0 = lineality[cut], lin_vals[cut]
+        if d0 < 0:
+            l0, d0 = tuple(-x for x in l0), -d0
+
+        def onto_row(w, v):
+            return _primitive(tuple(d0 * x - v * y for x, y in zip(w, l0)))
+
+        lineality = [onto_row(l, v) for i, (l, v) in enumerate(zip(lineality, lin_vals)) if i != cut]
+        moved = [(onto_row(r, _dot(a, r)), z | 1 << k) for r, z in rays.items()] + [(l0, done)]
+        rays = {r: z for r, z in moved if any(r)}
+        done |= 1 << k
+
+    target = dim - len(lineality) - 2
+    while rest:
+        vals = {r: {j: _dot(rows[j], r) for j in rest} for r in rays}
+        sides = {j: (sum(v[j] > 0 for v in vals.values()), sum(v[j] < 0 for v in vals.values())) for j in rest}
+        k = min(rest, key=lambda j: sides[j][0] * sides[j][1])
+        rest.remove(k)
+        bit = 1 << k
+        plus = [(r, z, vals[r][k]) for r, z in rays.items() if vals[r][k] > 0]
+        minus = [(r, z, vals[r][k]) for r, z in rays.items() if vals[r][k] < 0]
+        new_rays = [(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z in rays.items() if vals[r][k] == 0]
+        for rp, zp, vp in plus:
+            for rm, zm, vm in minus:
+                common = zp & zm
+                if common.bit_count() < target or sum(z & common == common for z in rays.values()) > 2:
+                    continue
+                new_rays.append((_primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm))), common | bit))
+        rays = {r: z for r, z in new_rays if any(r)}
+    return lineality, rays
+
+
 def _primitive_fraction(v):
     den = 1
     for x in v:

@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from types import ModuleType
 
@@ -271,6 +270,16 @@ def test_undecodable_input_is_invalid_json(tmp_path, content, reason):
     assert json.loads(err)["error"] == {"kind": "parse", "message": f"invalid JSON in {path}: {reason}"}
 
 
+@pytest.mark.parametrize("name", ["nonexistent.json", "."], ids=["missing", "directory"])
+def test_unreadable_input_is_an_io_error(tmp_path, name):
+    path = tmp_path / name
+    code, out, err = run_cli("represent", "--input", str(path))
+    assert code == 1 and out == ""
+    body = json.loads(err)["error"]
+    assert body["kind"] == "io" and set(body) == {"kind", "message"}
+    assert body["message"].startswith(f"cannot read {path}: ")
+
+
 def test_float_input_rejected_with_path(tmp_path):
     doc = {"outcomes": ["a", "b"], "prefers": [{"p": {"a": 0.5, "b": 0.5}, "q": {"b": 1}}]}
     data = write(tmp_path, "floats.json", doc)
@@ -359,9 +368,7 @@ def test_represent_verify_checks_every_statement_exactly(tmp_path, monkeypatch):
     extract = cli.extract_representation
 
     def with_utility(values):
-        return lambda dataset, pin: replace(
-            extract(dataset, pin), utilities=(Utility(dataset.space, values),)
-        )
+        return lambda dataset, pin: extract(dataset, pin)._replace(utilities=(Utility(dataset.space, values),))
 
     data = write(tmp_path, "chain.json", CHAIN)
     # a over b holds with equality, b over c strictly
@@ -452,7 +459,7 @@ def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, m
 
 
 def _swapped(verdict):
-    return replace(verdict, forward=verdict.backward, backward=verdict.forward)
+    return verdict._replace(forward=verdict.backward, backward=verdict.forward)
 
 
 @pytest.mark.parametrize(
@@ -462,7 +469,7 @@ def _swapped(verdict):
         (lambda query, rep, diff: query(rep, -diff), "forward certificate failed recheck"),
         (lambda query, rep, diff: _swapped(query(rep, diff)), "forward certificate failed recheck"),
         (
-            lambda query, rep, diff: replace(query(rep, diff), classification="INCOMPARABLE"),
+            lambda query, rep, diff: query(rep, diff)._replace(classification="INCOMPARABLE"),
             "utility-by-utility classification disagrees with cone verdict",
         ),
     ],

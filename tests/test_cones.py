@@ -31,9 +31,16 @@ from multiutility.cones import (
     membership,
     verify_membership,
 )
+from multiutility._linalg import primitive
 from multiutility.linprog import OPTIMAL, ExactLP
 
-from oracles import oracle_canonical_hull, oracle_double_description, oracle_membership, oracle_rref
+from oracles import (
+    oracle_canonical_hull,
+    oracle_double_description,
+    oracle_membership,
+    oracle_rref,
+    scan_double_description,
+)
 from test_metamorphic import moderate_dataset
 
 
@@ -349,6 +356,29 @@ def test_double_description_agrees_with_rank_test_oracle():
         assert _canonical_vrep(*_double_description(dim, rows)) == _canonical_vrep(
             *oracle_double_description(dim, rows)
         ), (dim, rows)
+
+
+def test_indexed_adjacency_matches_the_scan():
+    # same lineality, same rays in the same order, same zero sets
+    rng = random.Random(7373)
+    for _ in range(120):
+        dim = rng.randint(2, 10)
+        rows = _late_cut_rows(rng, dim)
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), rng.choice([(0,) * dim, rng.choice(rows)]))
+        lin, rays = _double_description(dim, rows)
+        assert (lin, list(rays.items())) == _scanned(dim, rows), (dim, rows)
+    dataset = moderate_dataset(14, 28)
+    rows = [primitive((p - q).dense()) for p, q in dataset.statements]
+    for seed in range(8):
+        random.Random(seed).shuffle(rows)
+        lin, rays = _double_description(14, rows)
+        assert (lin, list(rays.items())) == _scanned(14, rows), seed
+
+
+def _scanned(dim, rows):
+    lin, rays = scan_double_description(dim, rows)
+    return lin, list(rays.items())
 
 
 def _lineality_list(rng, dim):
