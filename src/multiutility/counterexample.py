@@ -12,8 +12,9 @@ g({b1..bn}) sequences as the subsets grow, yet it stays strictly outside
 every finite truncation's cone: any separating functional normalized to pay
 -1 on the anchor must pay at least |B| on the average generator over B, so
 the cost of separating grows without bound as n does.  The lab makes that
-growth observable with exact numbers: a certified closed-form cost, and
-each generator cleared to a primitive integer vector once, when it is built.
+growth observable with exact numbers: a closed-form separator and cost,
+each certified by exact arithmetic with no LP, and each generator cleared
+to a primitive integer vector once, when it is built.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from ._linalg import IntVector, primitive
-from .cones import OUT, MembershipCertificate, PolyhedralCone, membership, verify_membership
-from .linprog import OPTIMAL, CertificateError, ExactLP
+from .cones import OUT, CertificateError, MembershipCertificate, PolyhedralCone, verify_membership
 from .measures import Measure, OutcomeSpace
 
 MAX_TRUNCATION = 12
@@ -82,18 +82,16 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
 
     The functional paying -1 on a, +1 on h(a), +n on each b and -n on each
     h(b) gives every size-s generator -2 + 2n/s >= 0 while the anchor gets
-    -2, so it is tried first and checked by plain arithmetic; the verdict
-    never rests on the formula, because a failed check falls back to the
-    generic LP route.
+    -2.  The verdict never rests on the formula: the separator is checked
+    by plain arithmetic, and a failed check raises CertificateError.
     """
     n = trunc.n
     cone = PolyhedralCone(len(trunc.space), sorted(trunc.int_generators))
-    target = trunc.anchor.dense()
     sep = tuple([-1] + [n] * n + [1] + [-n] * n)
     cert = MembershipCertificate(OUT, separator=sep)
-    if verify_membership(cone, target, cert):
-        return cert
-    return membership(cone, target)
+    if not verify_membership(cone, trunc.anchor.dense(), cert):
+        raise CertificateError(f"anchor separator at n={n} failed its arithmetic recheck")
+    return cert
 
 
 def separation_cost(trunc: TruncatedConstruction) -> Fraction:
@@ -107,34 +105,18 @@ def separation_cost(trunc: TruncatedConstruction) -> Fraction:
     lam = 1/n on the full subset, certified by exact arithmetic on every
     call: that lam is dual feasible, so value - 1 is a weak-duality lower
     bound, and the uniform primal witness w = value, M = value - 1 is
-    feasible, so the bound is attained.  Should a check fail, the reduced
-    primal is solved directly by simplex.
+    feasible, so the bound is attained.  A failed check raises
+    CertificateError.
     """
     n = trunc.n
     lam = Fraction(1, n)  # on the full subset; every other lam_B is 0
     value = n * n * lam
     # each primal row depends only on |B|, so the witness is checked per size
-    if lam >= 0 and n * lam == 1 and value - (value - 1) <= 1 and all(
-        size * value >= size * size for size in range(1, n + 1)
+    if not (lam >= 0 and n * lam == 1 and value - (value - 1) <= 1) or any(
+        size * value < size * size for size in range(1, n + 1)
     ):
-        return value - 1
-    subsets = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
-    return _separation_cost_primal(n, subsets)
-
-
-def _separation_cost_primal(n: int, subsets) -> Fraction:
-    # generic fallback: variables w1..wn and M, all free
-    lp = ExactLP(n + 1, free=range(n + 1))
-    for s in subsets:
-        coeffs = [1 if i in s else 0 for i in range(n)] + [0]
-        lp.add(coeffs, ">=", len(s) * len(s))
-    for i in range(n):
-        coeffs = [int(j == i) for j in range(n)] + [-1]
-        lp.add(coeffs, "<=", 1)
-    res = lp.minimize([0] * n + [1])
-    if res.status != OPTIMAL:
-        raise CertificateError(f"separation LP ended {res.status}, but it is feasible and bounded")
-    return res.objective
+        raise CertificateError(f"separation cost at n={n} failed its weak-duality recheck")
+    return value - 1
 
 
 def inequality_chain(k0: int, b_size: int) -> Fraction:

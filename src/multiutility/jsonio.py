@@ -21,6 +21,7 @@ from .measures import (
     NotLotteryError,
     OutcomeSpace,
     Utility,
+    as_fraction,
 )
 from .preferences import MonotoneStructure, PreferenceDataset, QueryVerdict, Representation
 
@@ -55,15 +56,13 @@ def rational_to_str(value: Fraction) -> str:
 def parse_rational(value: Any, path: str = "") -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(f"expected a rational, got {value!r}", path)
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise SchemaError(f"floats are not accepted, write {value!r} as a 'num/den' string", path)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational string {value!r}: {exc}", path) from None
+            return as_fraction(value)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path) from None
     raise SchemaError(f"expected a rational, got {type(value).__name__}", path)
 
 
@@ -84,6 +83,9 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"invalid JSON in {path}: nested too deeply", kind="parse") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: not UTF-8 ({exc.reason})", kind="parse") from None
+    except ValueError as exc:
+        # after its subclasses above: json.load's own error, as for an integer past Python's digit limit
+        raise SchemaError(f"invalid JSON in {path}: {exc}", kind="parse") from None
 
 
 def dump_json(obj: Any) -> str:

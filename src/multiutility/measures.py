@@ -45,7 +45,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string like ``"3/4"`` to an exact Fraction.
 
     Floats are rejected: silent binary rounding has no place in an exact
-    engine.
+    engine.  Any string but ``-?[0-9]+(/[0-9]+)?`` in ASCII with a nonzero
+    denominator raises ValueError, as does a part past Python's digit limit.
     """
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass int, Fraction, or 'num/den' string")
@@ -54,7 +55,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        num, slash, den = value.partition("/")
+        # a denominator is digits with a nonzero one among them
+        if not value.isascii() or not num.removeprefix("-").isdigit() or (slash and not den.lstrip("0").isdigit()):
+            raise ValueError(f"expected a rational like '-3/4' or '2', got {value!r}")
+        return Fraction(int(num), int(den) if slash else 1)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

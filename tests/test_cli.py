@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from types import ModuleType
@@ -11,6 +12,7 @@ import pytest
 import multiutility
 from multiutility import Measure, Utility, _linalg, cli, cones, counterexample, preferences
 from multiutility.cli import main
+from test_measures import REJECTED_RATIONALS
 
 CHAIN = {
     "outcomes": ["a", "b", "c"],
@@ -114,6 +116,15 @@ def test_equal_reps(tmp_path):
     assert code == 0 and json.loads(out) == {"equal": True}
     code, out, _ = run_cli("equal-reps", "--input", a, "--input", c)
     assert code == 0 and json.loads(out) == {"equal": False}
+    # utility sets over different outcome lists are not compared at all
+    d = write(tmp_path, "d.json", {"outcomes": ["b", "a"], "utilities": [["0", "1"]]})
+    code, out, err = run_cli("equal-reps", "--input", a, "--input", d)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "schema",
+        "message": "utility sets must share one outcome list",
+        "path": "outcomes",
+    }
 
 
 def test_monotone_check(tmp_path):
@@ -290,6 +301,48 @@ def test_float_input_rejected_with_path(tmp_path):
     assert body["path"] == "prefers[0].p.a"
 
 
+@pytest.mark.parametrize("text", list(REJECTED_RATIONALS.values()), ids=list(REJECTED_RATIONALS))
+def test_rationals_outside_the_strict_grammar_are_schema_errors(tmp_path, text):
+    doc = {"outcomes": ["a", "b"], "prefers": [{"p": {"a": text, "b": "1/2"}, "q": {"b": 1}}]}
+    data = write(tmp_path, "lottery.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli("represent", "--input", data)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    body = json.loads(err)["error"]
+    assert body["kind"] == "schema" and body["path"] == "prefers[0].p.a"
+
+
+def test_strict_rationals_are_still_accepted(tmp_path):
+    for plus, minus in (("3/4", "-3/4"), ("2", "-2"), ("0", "0")):
+        data = write(tmp_path, "m.json", {"outcomes": ["a", "b"], "measure": {"a": plus, "b": minus}})
+        code, out, err = run_cli("decompose", "--input", data, "--verify")
+        assert code == 0 and err == ""
+        assert json.loads(out)["alpha"] == plus
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, monkeypatch):
+    text = '{"outcomes": ["a", "b"], "measure": {"a": %s, "b": -1}}' % ("7" * 5000)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    for source in (str(path), "-"):
+        code, out, err = run_cli("decompose", "--input", source)
+        assert code == 1 and out == ""
+        body = json.loads(err)["error"]
+        assert body["kind"] == "parse" and set(body) == {"kind", "message"}
+        assert body["message"].startswith(f"invalid JSON in {source}: ")
+
+
+def test_unwritable_output_is_an_io_error(tmp_path):
+    data = write(tmp_path, "chain.json", CHAIN)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli("represent", "--input", data, "--output", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    body = json.loads(err)["error"]
+    assert body["kind"] == "io" and body["message"].startswith(f"cannot write {target}: ")
+
+
 def test_unknown_outcome_in_pair(tmp_path):
     data = write(tmp_path, "chain.json", CHAIN)
     pair = write(tmp_path, "pair.json", {"p": {"z": 1}, "q": {"a": 1}})
@@ -362,6 +415,14 @@ def test_failed_recheck_is_an_internal_error(tmp_path, monkeypatch):
     code, out, err = run_cli("query", "--input", data, "--input", pair)
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["kind"] == "internal"
+
+
+def test_a_failed_lab_closed_form_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(counterexample, "verify_membership", lambda *args: False)
+    code, out, err = run_cli("counterexample", "--n", "3")
+    assert code == 1 and out == ""
+    message = "anchor separator at n=1 failed its arithmetic recheck"
+    assert json.loads(err)["error"] == {"kind": "internal", "message": message}
 
 
 def test_represent_verify_checks_every_statement_exactly(tmp_path, monkeypatch):
@@ -472,8 +533,13 @@ def _swapped(verdict):
             lambda query, rep, diff: query(rep, diff)._replace(classification="INCOMPARABLE"),
             "utility-by-utility classification disagrees with cone verdict",
         ),
+        # a forward that rechecks, and a backward certificate for p - q instead of q - p
+        (
+            lambda query, rep, diff: query(rep, diff)._replace(backward=query(rep, diff).forward),
+            "backward certificate failed recheck",
+        ),
     ],
-    ids=["sign-flipped", "swapped", "misclassified"],
+    ids=["sign-flipped", "swapped", "misclassified", "backward"],
 )
 def test_verify_rechecks_the_verdict_against_the_input_pair(tmp_path, monkeypatch, doctor, message):
     # the CLI clears the input's p - q itself and rechecks the query's answer on it

@@ -3,17 +3,19 @@ from fractions import Fraction
 import pytest
 
 from multiutility import (
+    CertificateError,
     TruncationRangeError,
     anchor_membership,
     build_truncation,
+    counterexample,
     inequality_chain,
     lab_table,
     separation_cost,
 )
 from multiutility._linalg import primitive
 from multiutility.cones import OUT
+from multiutility.linprog import OPTIMAL, ExactLP
 from multiutility.measures import Measure
-from multiutility.counterexample import _separation_cost_primal
 from itertools import combinations
 
 from test_cones import _spy_on_lp
@@ -96,6 +98,14 @@ def test_anchor_always_out():
             assert sum(s * v for s, v in zip(sep, g.dense())) >= 0
 
 
+def test_a_failed_anchor_check_raises_instead_of_solving(monkeypatch):
+    calls = _spy_on_lp(monkeypatch)
+    monkeypatch.setattr(counterexample, "verify_membership", lambda *args: False)
+    with pytest.raises(CertificateError, match="anchor separator at n=3"):
+        anchor_membership(build_truncation(3))
+    assert calls == []
+
+
 def test_separation_cost_values():
     # the optimum puts all dual weight on the full subset: cost is n - 1
     for n in range(1, 7):
@@ -106,17 +116,27 @@ def test_separation_cost_is_certified_without_an_lp(monkeypatch):
     calls = _spy_on_lp(monkeypatch)
     for n in range(1, 13):
         assert separation_cost(build_truncation(n)) == n - 1
+    # the anchor's separator too, at every size
+    assert [cost for *_, cost in lab_table(8)] == list(range(8))
     assert calls == []
+
+
+def _separation_cost_primal(n):
+    # the reduced primal solved by simplex: variables w1..wn and M, all free
+    lp = ExactLP(n + 1, free=range(n + 1))
+    for size in range(1, n + 1):
+        for s in combinations(range(n), size):
+            lp.add([int(i in s) for i in range(n)] + [0], ">=", size * size)
+    for i in range(n):
+        lp.add([int(j == i) for j in range(n)] + [-1], "<=", 1)
+    res = lp.minimize([0] * n + [1])
+    assert res.status == OPTIMAL
+    return res.objective
 
 
 def test_separation_cost_matches_direct_simplex():
     for n in range(1, 7):
-        subsets = [
-            s
-            for size in range(1, n + 1)
-            for s in combinations(range(n), size)
-        ]
-        assert separation_cost(build_truncation(n)) == _separation_cost_primal(n, subsets)
+        assert separation_cost(build_truncation(n)) == _separation_cost_primal(n)
 
 
 def test_separation_cost_growth_bound():

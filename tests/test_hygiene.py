@@ -90,3 +90,28 @@ def test_scan_finds_unreferenced_definitions():
 def test_every_package_definition_is_referenced():
     sources = {path: (ROOT / path).read_text(encoding="utf-8") for path in SOURCES}
     assert unreferenced_definitions(sources) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Last dotted component of every module an import statement may load."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in names}
+
+
+def test_only_cones_imports_linprog():
+    # the truncation lab certifies by arithmetic alone, so cones builds every LP the program solves
+    for source in ("from . import linprog", "from .linprog import ExactLP", "import multiutility.linprog as lp"):
+        assert "linprog" in imported_modules(source)
+    importers = [
+        path
+        for path in SOURCES
+        if path.startswith("src/multiutility/")
+        and "linprog" in imported_modules((ROOT / path).read_text(encoding="utf-8"))
+    ]
+    assert importers == ["src/multiutility/cones.py"]

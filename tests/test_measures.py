@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from multiutility import (
     mix,
     norm,
 )
+from multiutility.measures import as_fraction
 
 AB = OutcomeSpace(["a", "b"])
 ABC = OutcomeSpace(["a", "b", "c"])
@@ -46,6 +48,32 @@ def test_measure_rejects_floats():
     # exact inputs in every accepted spelling
     m = Measure.from_values(AB, ["1/2", Fraction(1, 2)])
     assert m.dense() == (Fraction(1, 2), Fraction(1, 2))
+
+
+# strings Fraction(str) accepts, or rejects only after the work: "1e10000000" took seconds there
+REJECTED_RATIONALS = {
+    "decimal": "0.5",
+    "exponent": "1e3",
+    "underscore": "1_000",
+    "spaces": " 1/2 ",
+    "arabic-indic": "\u0661/\u0662",
+    "zero-denominator": "1/0",
+    "huge-exponent": "1e10000000",
+    "past-digit-limit": "7" * 5000,
+}
+
+
+def test_as_fraction_takes_only_the_strict_grammar():
+    accepted = ("-3/4", "2", "0", "-0", "007/014")
+    assert [as_fraction(text) for text in accepted] == [Fraction(-3, 4), 2, 0, 0, Fraction(1, 2)]
+    for text in REJECTED_RATIONALS.values():
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            as_fraction(text)
+        assert time.perf_counter() - start < 1
+    # library constructors share the grammar
+    with pytest.raises(ValueError):
+        Measure.from_values(AB, ["0.5", "1/2"])
 
 
 def test_measure_arithmetic():
