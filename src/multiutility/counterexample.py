@@ -13,8 +13,10 @@ every finite truncation's cone: any separating functional normalized to pay
 -1 on the anchor must pay at least |B| on the average generator over B, so
 the cost of separating grows without bound as n does.  The lab makes that
 growth observable with exact numbers: a closed-form separator and cost,
-each certified by exact arithmetic with no LP, and each generator cleared
-to a primitive integer vector once, when it is built.
+each certified by exact arithmetic with no LP, and each generator's
+primitive integer vector written from its closed form, |B|^2 * g(B): |B|^2
+on a, 1 on each b in B, and the negations on their images.  An entry of 1
+makes it primitive with no gcd to take.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from ._linalg import IntVector, primitive
+from ._linalg import IntVector
 from .cones import OUT, CertificateError, MembershipCertificate, PolyhedralCone, verify_membership
 from .measures import Measure, OutcomeSpace
 
@@ -40,7 +42,7 @@ class TruncatedConstruction(NamedTuple):
     space: OutcomeSpace
     anchor: Measure
     generators: tuple[Measure, ...]
-    int_generators: tuple[IntVector, ...]  # primitive(g.dense()) for each generator g, in order
+    int_generators: tuple[IntVector, ...]  # |B|^2 * g(B) in closed form, primitive by its entries of 1, in order
 
 
 def _pair_difference(space: OutcomeSpace, label: str) -> Measure:
@@ -59,16 +61,18 @@ def build_truncation(n: int) -> TruncatedConstruction:
     space = OutcomeSpace(labels + [f"h({z})" for z in labels])
     anchor = _pair_difference(space, "a")
     singles = [_pair_difference(space, f"b{i}") for i in range(1, n + 1)]
-    generators = []
+    generators, ints = [], []
     for size in range(1, n + 1):
         weight = Fraction(1, size * size)
         for subset in combinations(range(n), size):
             total = anchor
+            half = [size * size] + [0] * n  # |B|^2 * g(B) on a, b1..bn; its h-half is the negation
             for i in subset:
                 total = total + singles[i].scale(weight)
+                half[i + 1] = 1
             generators.append(total)
-    ints = tuple([primitive(g.dense()) for g in generators])
-    return TruncatedConstruction(n, space, anchor, tuple(generators), ints)
+            ints.append(tuple(half + [-x for x in half]))
+    return TruncatedConstruction(n, space, anchor, tuple(generators), tuple(ints))
 
 
 def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:

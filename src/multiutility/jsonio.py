@@ -22,6 +22,7 @@ from .measures import (
     OutcomeSpace,
     Utility,
     as_fraction,
+    digit_limit_error,
 )
 from .preferences import MonotoneStructure, PreferenceDataset, QueryVerdict, Representation
 
@@ -46,11 +47,30 @@ class SchemaError(ValueError):
         self.kind = kind
 
 
+def _widest_digits(obj: Any) -> int:
+    """Decimal digits of the largest integer in a JSON-ready object, counted without printing it."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return max(map(_widest_digits, obj), default=0)
+    if not isinstance(obj, int):
+        return 0
+    n = abs(obj)
+    digits = (n.bit_length() - 1) * 3 // 10 + 1  # a lower bound, as 2**(bits-1) <= n and 10**3 < 2**10
+    power = 10**digits
+    while power <= n:
+        digits, power = digits + 1, power * 10
+    return digits
+
+
 def rational_to_str(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise digit_limit_error(_widest_digits((value.numerator, value.denominator))) from None
 
 
 def parse_rational(value: Any, path: str = "") -> Fraction:
@@ -66,13 +86,20 @@ def parse_rational(value: Any, path: str = "") -> Fraction:
     raise SchemaError(f"expected a rational, got {type(value).__name__}", path)
 
 
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise digit_limit_error(len(text.removeprefix("-"))) from None
+
+
 def load_json(path: str) -> Any:
     """Read one JSON document from a file, or from stdin when path is '-'."""
     try:
         if path == "-":
-            return json.loads(sys.stdin.read())
+            return json.loads(sys.stdin.read(), parse_int=_json_int)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}", kind="io") from None
     except json.JSONDecodeError as exc:
@@ -84,13 +111,17 @@ def load_json(path: str) -> Any:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: not UTF-8 ({exc.reason})", kind="parse") from None
     except ValueError as exc:
-        # after its subclasses above: json.load's own error, as for an integer past Python's digit limit
+        # after its subclasses above: an integer past Python's digit limit
         raise SchemaError(f"invalid JSON in {path}: {exc}", kind="parse") from None
 
 
 def dump_json(obj: Any) -> str:
     """Canonical serialization: two-space indent, fixed key order, newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2) + "\n"
+    except ValueError:
+        # an integer past Python's digit limit, such as an entry of a separator
+        raise digit_limit_error(_widest_digits(obj)) from None
 
 
 def _expect_dict(obj: Any, path: str) -> dict:

@@ -9,6 +9,7 @@ lotteries returns plain measures.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -41,6 +42,19 @@ RationalLike = Union[int, str, Fraction]
 _ZERO = Fraction(0)
 
 
+def digit_limit_error(digits: int) -> ValueError:
+    """The error for an integer of ``digits`` decimal digits past Python's conversion limit.
+
+    Python's own message advises sys.set_int_max_str_digits(), which a
+    command-line user cannot call.  The limit is read on this error path
+    only: Python 3.10 before 3.10.7 has neither the limit nor the function.
+    """
+    return ValueError(
+        f"an integer of {digits} digits is past Python's limit of {sys.get_int_max_str_digits()} digits"
+        " for decimal conversion; the PYTHONINTMAXSTRDIGITS environment variable sets the limit (0 for none)"
+    )
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string like ``"3/4"`` to an exact Fraction.
 
@@ -59,7 +73,10 @@ def as_fraction(value: RationalLike) -> Fraction:
         # a denominator is digits with a nonzero one among them
         if not value.isascii() or not num.removeprefix("-").isdigit() or (slash and not den.lstrip("0").isdigit()):
             raise ValueError(f"expected a rational like '-3/4' or '2', got {value!r}")
-        return Fraction(int(num), int(den) if slash else 1)
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except ValueError:
+            raise digit_limit_error(max(len(num.removeprefix("-")), len(den))) from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -331,7 +331,27 @@ def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, monkeypatch)
         assert code == 1 and out == ""
         body = json.loads(err)["error"]
         assert body["kind"] == "parse" and set(body) == {"kind", "message"}
-        assert body["message"].startswith(f"invalid JSON in {source}: ")
+        assert body["message"].startswith(f"invalid JSON in {source}: an integer of 5000 digits is past ")
+        assert "PYTHONINTMAXSTRDIGITS" in body["message"] and "set_int_max_str_digits" not in body["message"]
+
+
+def test_an_answer_too_large_to_print_is_a_validation_error(tmp_path):
+    # D1 and D2 are odd, two apart, so coprime; each has 3,001 digits, under the limit on input,
+    # but the IN coefficient 2/(D1*D2) has a 6,001-digit denominator
+    d1, d2 = 10**3000 + 1, 10**3000 + 3
+    data = write(tmp_path, "ab.json", {"outcomes": ["a", "b"], "prefers": [{"p": {"a": 1}, "q": {"b": 1}}]})
+    pair = {"p": {"a": f"1/{d1}", "b": f"{d1 - 1}/{d1}"}, "q": {"a": f"1/{d2}", "b": f"{d2 - 1}/{d2}"}}
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps(pair))
+    start = time.perf_counter()
+    code, out, err = run_cli("query", "--input", data, "--input", str(pair_path), "--verify")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    body = json.loads(err)["error"]
+    assert body["kind"] == "validation" and set(body) == {"kind", "message"}
+    limit = sys.get_int_max_str_digits()
+    assert body["message"].startswith(f"an integer of 6001 digits is past Python's limit of {limit} digits")
+    assert "PYTHONINTMAXSTRDIGITS" in body["message"] and "set_int_max_str_digits" not in body["message"]
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):

@@ -14,6 +14,7 @@ from multiutility import (
 )
 from multiutility._linalg import primitive
 from multiutility.cones import OUT
+from multiutility.counterexample import MAX_TRUNCATION
 from multiutility.linprog import OPTIMAL, ExactLP
 from multiutility.measures import Measure
 from itertools import combinations
@@ -61,7 +62,8 @@ def test_build_matches_the_definition():
 
 
 def test_integer_generators_are_the_primitive_generators_in_order():
-    for n in range(1, 9):
+    # the closed form against clearing each Fraction generator, at every supported size
+    for n in range(1, MAX_TRUNCATION + 1):
         t = build_truncation(n)
         assert t.int_generators == tuple(primitive(g.dense()) for g in t.generators)
         assert all(type(v) is int for g in t.int_generators for v in g)

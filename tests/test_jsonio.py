@@ -164,6 +164,16 @@ def test_dump_json_deterministic():
     assert first.endswith("\n")
 
 
+def test_output_past_the_digit_limit_names_its_digits():
+    # counted exactly without printing: 10**5000 has 5,001 digits, 10**5000 - 1 has 5,000
+    for value, digits in ((10**5000, 5001), (-(10**5000) + 1, 5000)):
+        for emit, arg in ((J.dump_json, {"separator": [0, [1, value]]}), (J.rational_to_str, Fraction(1, value))):
+            with pytest.raises(ValueError) as exc:
+                emit(arg)
+            assert str(exc.value).startswith(f"an integer of {digits} digits is past ")
+            assert "PYTHONINTMAXSTRDIGITS" in str(exc.value)
+
+
 def test_load_json_errors(tmp_path):
     with pytest.raises(J.SchemaError):
         J.load_json(str(tmp_path / "missing.json"))

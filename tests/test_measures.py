@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -74,6 +75,16 @@ def test_as_fraction_takes_only_the_strict_grammar():
     # library constructors share the grammar
     with pytest.raises(ValueError):
         Measure.from_values(AB, ["0.5", "1/2"])
+
+
+def test_a_part_past_the_digit_limit_names_its_digits_and_the_variable():
+    # Python's own message advises sys.set_int_max_str_digits(), which a CLI user cannot call
+    for text in (REJECTED_RATIONALS["past-digit-limit"], "-" + "7" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(ValueError) as exc:
+            as_fraction(text)
+        message = str(exc.value)
+        assert "5000 digits" in message and f"limit of {sys.get_int_max_str_digits()} digits" in message
+        assert "PYTHONINTMAXSTRDIGITS" in message and "set_int_max_str_digits" not in message
 
 
 def test_measure_arithmetic():
