@@ -5,10 +5,8 @@ table): byte-identical output for identical inputs.  Errors leave a
 machine-readable JSON object on stderr and a nonzero exit code.  With
 --verify every emitted certificate is rechecked by plain arithmetic before
 the output is written.  The lab table is built once per size; --verify
-rechecks each size's OUT certificate against that size's own construction,
-on its integer generator vectors: the separator must pay >= 0 on every
-generator and < 0 on the anchor, and the separation cost must exceed n - 2
-and never decrease.
+rechecks each size's OUT certificate by verify_membership on that size's own
+cone, and checks that the separation cost exceeds n - 2 and never decreases.
 """
 from __future__ import annotations
 
@@ -31,6 +29,7 @@ from .jsonio import (
     parse_utility_set,
     rational_to_str,
     representation_to_json,
+    utility_to_json,
     verdict_to_json,
 )
 from .measures import decompose
@@ -130,19 +129,15 @@ def _verify_verdict(rep, diff, verdict) -> None:
         raise VerificationError("utility-by-utility classification disagrees with cone verdict")
 
 
-def _verify_anchor_separation(trunc, cert) -> None:
-    # the separator must pay >= 0 on every generator and < 0 on the anchor;
-    # a generator's primitive integer vector is a positive multiple of it,
-    # so paying on that vector keeps the sign
-    sep = cert.separator
-    if (
-        cert.verdict != OUT
-        or sep is None
-        or len(sep) != len(trunc.space)
-        or dot(sep, trunc.anchor.dense()) >= 0
-        or any(dot(sep, g) < 0 for g in trunc.int_generators)
-    ):
-        raise VerificationError(f"anchor certificate at n={trunc.n} failed recheck")
+def _verdicts(dataset: PreferenceDataset, pin: str, pairs, verify: bool) -> list[dict]:
+    """Verdict objects for the pairs, each rechecked on the input's own p - q when verify is set."""
+    rep = extract_representation(dataset, pin)
+    diffs = [_cleared_difference(rep, p, q) for p, q in pairs]
+    verdicts = [_query_cleared(rep, d) for d in diffs]
+    if verify:
+        for d, v in zip(diffs, verdicts):
+            _verify_verdict(rep, d, v)
+    return [verdict_to_json(v) for v in verdicts]
 
 
 def _run(args) -> str:
@@ -159,25 +154,15 @@ def _run(args) -> str:
     if verb == "query":
         raw_dataset, raw_pair = _inputs(args, 2)
         dataset, pin, _ = _dataset_and_pin(args, raw_dataset)
-        p, q = parse_query_pair(raw_pair, dataset.space)
-        rep = extract_representation(dataset, pin)
-        diff = _cleared_difference(rep, p, q)
-        verdict = _query_cleared(rep, diff)
-        if args.verify:
-            _verify_verdict(rep, diff, verdict)
-        return dump_json(verdict_to_json(verdict))
+        pair = parse_query_pair(raw_pair, dataset.space)
+        (verdict,) = _verdicts(dataset, pin, [pair], args.verify)
+        return dump_json(verdict)
 
     if verb == "classify-batch":
         raw_dataset, raw_batch = _inputs(args, 2)
         dataset, pin, _ = _dataset_and_pin(args, raw_dataset)
         pairs = parse_query_batch(raw_batch, dataset.space)
-        rep = extract_representation(dataset, pin)
-        diffs = [_cleared_difference(rep, p, q) for p, q in pairs]
-        verdicts = [_query_cleared(rep, d) for d in diffs]
-        if args.verify:
-            for d, v in zip(diffs, verdicts):
-                _verify_verdict(rep, d, v)
-        return dump_json({"verdicts": [verdict_to_json(v) for v in verdicts]})
+        return dump_json({"verdicts": _verdicts(dataset, pin, pairs, args.verify)})
 
     if verb == "equal-reps":
         raw_a, raw_b = _inputs(args, 2)
@@ -200,9 +185,7 @@ def _run(args) -> str:
         for u in rep.utilities:
             pair = first_violation(u, ranking)
             if pair is not None:
-                violations.append(
-                    {"utility": [rational_to_str(v) for v in u.values], "pair": list(pair)}
-                )
+                violations.append({"utility": utility_to_json(u), "pair": list(pair)})
         return dump_json({"all_increasing": not violations, "violations": violations})
 
     if verb == "decompose":
@@ -227,7 +210,8 @@ def _run(args) -> str:
         for trunc, cert, cost in lab(args.n):
             n = trunc.n
             if args.verify:
-                _verify_anchor_separation(trunc, cert)
+                if cert.verdict != OUT or not verify_membership(trunc.cone, trunc.anchor.dense(), cert):
+                    raise VerificationError(f"anchor certificate at n={n} failed recheck")
                 if n >= 2 and not cost > n - 2:
                     raise VerificationError(f"separation cost at n={n} violates its growth bound")
                 if cost < prev:

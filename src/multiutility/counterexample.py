@@ -13,10 +13,11 @@ every finite truncation's cone: any separating functional normalized to pay
 -1 on the anchor must pay at least |B| on the average generator over B, so
 the cost of separating grows without bound as n does.  The lab makes that
 growth observable with exact numbers: a closed-form separator and cost,
-each certified by exact arithmetic with no LP, and each generator's
-primitive integer vector written from its closed form, |B|^2 * g(B): |B|^2
-on a, 1 on each b in B, and the negations on their images.  An entry of 1
-makes it primitive with no gcd to take.
+each certified by exact arithmetic with no LP.  The truncation's cone is
+built once, from each generator's primitive integer vector written from its
+closed form, |B|^2 * g(B): |B|^2 on a, 1 on each b in B, and the negations
+on their images.  An entry of 1 makes it primitive with no gcd to take.
+The anchor's OUT certificate is checked by verify_membership on that cone.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from ._linalg import IntVector
 from .cones import OUT, CertificateError, MembershipCertificate, PolyhedralCone, verify_membership
 from .measures import Measure, OutcomeSpace
 
@@ -36,13 +36,13 @@ class TruncationRangeError(ValueError):
 
 
 class TruncatedConstruction(NamedTuple):
-    """Size-n truncation: outcome space, anchor vector, subset generators."""
+    """Size-n truncation: outcome space, anchor vector, subset generators and their cone."""
 
     n: int
     space: OutcomeSpace
     anchor: Measure
     generators: tuple[Measure, ...]
-    int_generators: tuple[IntVector, ...]  # |B|^2 * g(B) in closed form, primitive by its entries of 1, in order
+    cone: PolyhedralCone  # rays: each |B|^2 * g(B) in closed form, primitive by its entries of 1, sorted
 
 
 def _pair_difference(space: OutcomeSpace, label: str) -> Measure:
@@ -72,7 +72,7 @@ def build_truncation(n: int) -> TruncatedConstruction:
                 half[i + 1] = 1
             generators.append(total)
             ints.append(tuple(half + [-x for x in half]))
-    return TruncatedConstruction(n, space, anchor, tuple(generators), tuple(ints))
+    return TruncatedConstruction(n, space, anchor, tuple(generators), PolyhedralCone(len(space), sorted(ints)))
 
 
 def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
@@ -81,7 +81,7 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
     The verdict is OUT at every finite n, with an integer separating
     functional as certificate.  The generators are pointed and pairwise
     non-parallel by construction (every generator pays +1 on outcome a, and
-    no two share a support), so the cone is built from them directly,
+    no two share a support), so the truncation's cone holds them directly,
     without canonicalization.
 
     The functional paying -1 on a, +1 on h(a), +n on each b and -n on each
@@ -90,10 +90,9 @@ def anchor_membership(trunc: TruncatedConstruction) -> MembershipCertificate:
     by plain arithmetic, and a failed check raises CertificateError.
     """
     n = trunc.n
-    cone = PolyhedralCone(len(trunc.space), sorted(trunc.int_generators))
     sep = tuple([-1] + [n] * n + [1] + [-n] * n)
     cert = MembershipCertificate(OUT, separator=sep)
-    if not verify_membership(cone, trunc.anchor.dense(), cert):
+    if not verify_membership(trunc.cone, trunc.anchor.dense(), cert):
         raise CertificateError(f"anchor separator at n={n} failed its arithmetic recheck")
     return cert
 

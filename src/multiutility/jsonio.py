@@ -22,6 +22,7 @@ from .measures import (
     OutcomeSpace,
     Utility,
     as_fraction,
+    decimal_digits,
     digit_limit_error,
 )
 from .preferences import MonotoneStructure, PreferenceDataset, QueryVerdict, Representation
@@ -53,14 +54,7 @@ def _widest_digits(obj: Any) -> int:
         obj = list(obj.values())
     if isinstance(obj, (list, tuple)):
         return max(map(_widest_digits, obj), default=0)
-    if not isinstance(obj, int):
-        return 0
-    n = abs(obj)
-    digits = (n.bit_length() - 1) * 3 // 10 + 1  # a lower bound, as 2**(bits-1) <= n and 10**3 < 2**10
-    power = 10**digits
-    while power <= n:
-        digits, power = digits + 1, power * 10
-    return digits
+    return decimal_digits(obj) if isinstance(obj, int) else 0
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -136,6 +130,12 @@ def _expect_list(obj: Any, path: str) -> list:
     return obj
 
 
+def _member(obj: dict, key: str, path: str = "") -> Any:
+    if key not in obj:
+        raise SchemaError("missing key", f"{path}.{key}" if path else key)
+    return obj[key]
+
+
 # -- outcome spaces and measures ----------------------------------------------
 
 
@@ -187,19 +187,10 @@ def utility_to_json(u: Utility) -> list[str]:
 
 def parse_dataset(obj: Any) -> tuple[PreferenceDataset, MonotoneStructure | None]:
     root = _expect_dict(obj, "")
-    if "outcomes" not in root:
-        raise SchemaError("missing key", "outcomes")
-    space = parse_space(root["outcomes"])
-    statements = []
-    for i, item in enumerate(_expect_list(root.get("prefers", []), "prefers")):
-        entry = _expect_dict(item, f"prefers[{i}]")
-        for key in ("p", "q"):
-            if key not in entry:
-                raise SchemaError("missing key", f"prefers[{i}].{key}")
-        p = parse_lottery(entry["p"], space, f"prefers[{i}].p")
-        q = parse_lottery(entry["q"], space, f"prefers[{i}].q")
-        statements.append((p, q))
-    dataset = PreferenceDataset(space, tuple(statements))
+    space = parse_space(_member(root, "outcomes"))
+    items = _expect_list(root.get("prefers", []), "prefers")
+    statements = tuple(parse_query_pair(item, space, f"prefers[{i}]") for i, item in enumerate(items))
+    dataset = PreferenceDataset(space, statements)
     ranking = None
     if "monotone" in root:
         pairs = []
@@ -217,41 +208,28 @@ def parse_dataset(obj: Any) -> tuple[PreferenceDataset, MonotoneStructure | None
 
 def parse_query_pair(obj: Any, space: OutcomeSpace, path: str = "") -> tuple[Lottery, Lottery]:
     entry = _expect_dict(obj, path)
-    for key in ("p", "q"):
-        if key not in entry:
-            raise SchemaError("missing key", f"{path}.{key}" if path else key)
+    # both keys are looked up before either lottery is parsed
+    p, q = _member(entry, "p", path), _member(entry, "q", path)
     prefix = f"{path}." if path else ""
-    return (
-        parse_lottery(entry["p"], space, f"{prefix}p"),
-        parse_lottery(entry["q"], space, f"{prefix}q"),
-    )
+    return parse_lottery(p, space, f"{prefix}p"), parse_lottery(q, space, f"{prefix}q")
 
 
 def parse_query_batch(obj: Any, space: OutcomeSpace) -> list[tuple[Lottery, Lottery]]:
-    root = _expect_dict(obj, "")
-    if "queries" not in root:
-        raise SchemaError("missing key", "queries")
-    items = _expect_list(root["queries"], "queries")
+    items = _expect_list(_member(_expect_dict(obj, ""), "queries"), "queries")
     return [parse_query_pair(item, space, f"queries[{i}]") for i, item in enumerate(items)]
 
 
 def parse_measure_input(obj: Any) -> Measure:
     root = _expect_dict(obj, "")
-    for key in ("outcomes", "measure"):
-        if key not in root:
-            raise SchemaError("missing key", key)
-    space = parse_space(root["outcomes"])
-    return Measure(space, _parse_entries(root["measure"], space, "measure"))
+    outcomes, measure = _member(root, "outcomes"), _member(root, "measure")
+    space = parse_space(outcomes)
+    return Measure(space, _parse_entries(measure, space, "measure"))
 
 
 def parse_utility_set(obj: Any) -> tuple[OutcomeSpace, list[Utility]]:
     root = _expect_dict(obj, "")
-    if "outcomes" not in root:
-        raise SchemaError("missing key", "outcomes")
-    space = parse_space(root["outcomes"])
-    if "utilities" not in root:
-        raise SchemaError("missing key", "utilities")
-    items = _expect_list(root["utilities"], "utilities")
+    space = parse_space(_member(root, "outcomes"))
+    items = _expect_list(_member(root, "utilities"), "utilities")
     if not items:
         raise SchemaError("utility set must be nonempty", "utilities")
     return space, [parse_utility(u, space, f"utilities[{i}]") for i, u in enumerate(items)]

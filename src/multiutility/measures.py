@@ -55,6 +55,24 @@ def digit_limit_error(digits: int) -> ValueError:
     )
 
 
+def decimal_digits(n: int) -> int:
+    """Decimal digits of abs(n), counted without printing it."""
+    n = abs(n)
+    digits = (n.bit_length() - 1) * 3 // 10 + 1  # a lower bound, as 2**(bits-1) <= n and 10**3 < 2**10
+    power = 10**digits
+    while power <= n:
+        digits, power = digits + 1, power * 10
+    return digits
+
+
+def show_rational(value: Fraction) -> str:
+    """str(value) for a message; never raises, naming the digits of a part past Python's digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a rational of {max(decimal_digits(value.numerator), decimal_digits(value.denominator))} digits"
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string like ``"3/4"`` to an exact Fraction.
 
@@ -229,7 +247,7 @@ class Lottery(Measure):
         if any(v < 0 for v in self.entries.values()):
             raise NotLotteryError("lottery entries must be nonnegative")
         if self.total() != 1:
-            raise NotLotteryError(f"lottery mass must be exactly 1, got {self.total()}")
+            raise NotLotteryError(f"lottery mass must be exactly 1, got {show_rational(self.total())}")
 
     @classmethod
     def point_mass(cls, space: OutcomeSpace, label: str) -> "Lottery":
@@ -309,7 +327,7 @@ def decompose(x: Measure) -> Decomposition:
     point masses on the first two outcomes in canonical order.
     """
     if x.total() != 0:
-        raise NotZeroSumError(f"entries must sum to 0, got {x.total()}")
+        raise NotZeroSumError(f"entries must sum to 0, got {show_rational(x.total())}")
     if x.is_zero():
         if len(x.space) < 2:
             raise DegenerateSpaceError("zero measure on a single outcome has no split")
@@ -331,5 +349,5 @@ def mix(alpha: RationalLike, p: Lottery, q: Lottery) -> Lottery:
     """Convex combination alpha * p + (1 - alpha) * q, alpha in [0, 1]."""
     a = as_fraction(alpha)
     if not 0 <= a <= 1:
-        raise MixtureRangeError(f"mixture weight must lie in [0, 1], got {a}")
+        raise MixtureRangeError(f"mixture weight must lie in [0, 1], got {show_rational(a)}")
     return Lottery(p.space, (p.scale(a) + q.scale(1 - a)).entries)

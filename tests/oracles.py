@@ -3,11 +3,22 @@
 Everything here re-derives the mathematical answer from scratch with plain
 Gaussian elimination over fractions.Fraction and shares no code with the
 package under test.  The routines are exhaustive rather than clever and are
-only meant for small dimensions.
+only meant for small dimensions.  The one exception is ``random_lottery``,
+the suite's seeded test-data generator, which returns the package's Lottery.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from multiutility.measures import Lottery
+
+
+def random_lottery(rng, space):
+    """Composition method: split a random denominator in 1..6 across the outcomes."""
+    den = rng.randint(1, 6)
+    cuts = sorted(rng.randint(0, den) for _ in range(len(space) - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return Lottery.from_values(space, [Fraction(k, den) for k in parts])
 
 
 def _solve_square(columns, target):

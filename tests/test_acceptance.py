@@ -39,8 +39,8 @@ from multiutility.cones import IN, OUT
 from multiutility.linprog import ExactLP
 from multiutility.preferences import utilities_agree
 
-from oracles import oracle_decompose, oracle_membership
-from test_metamorphic import mixing_mismatches, moderate_dataset, query_pairs, random_lottery
+from oracles import oracle_decompose, oracle_membership, random_lottery
+from test_metamorphic import mixing_mismatches, moderate_dataset, query_pairs
 
 
 def report(num, description, failures):

@@ -108,6 +108,21 @@ def test_classify_batch_preserves_order(tmp_path):
     assert verdicts == ["ENTAILED_ONLY", "REVERSE_ONLY", "INDIFFERENT"]
 
 
+def test_query_prints_the_verdict_of_a_one_pair_batch(tmp_path):
+    data = write(tmp_path, "chain.json", CHAIN)
+    lotteries = ({"a": 1}, {"b": 1}, {"c": 1}, {"a": "1/2", "c": "1/2"})
+    for p in lotteries:
+        for q in lotteries:
+            pair = write(tmp_path, "pair.json", {"p": p, "q": q})
+            batch = write(tmp_path, "batch.json", {"queries": [{"p": p, "q": q}]})
+            for argv in (["--verify"], []):
+                code, out, err = run_cli("query", "--input", data, "--input", pair, *argv)
+                batch_code, batch_out, batch_err = run_cli("classify-batch", "--input", data, "--input", batch, *argv)
+                assert code == batch_code == 0 and err == batch_err == ""
+                (verdict,) = json.loads(batch_out)["verdicts"]
+                assert out == json.dumps(verdict, indent=2) + "\n"
+
+
 def test_equal_reps(tmp_path):
     a = write(tmp_path, "a.json", {"outcomes": ["a", "b"], "utilities": [["1", "0"]]})
     b = write(tmp_path, "b.json", {"outcomes": ["a", "b"], "utilities": [["2", "0"]]})
@@ -134,6 +149,35 @@ def test_monotone_check(tmp_path):
     code, out, _ = run_cli("monotone-check", "--input", data, "--verify")
     assert code == 0
     assert json.loads(out) == {"all_increasing": True, "violations": []}
+
+
+def test_monotone_check_reports_each_violating_utility(tmp_path, monkeypatch):
+    # without the extension the chain's utilities are free to break a ranking pair
+    monkeypatch.setattr(cli, "monotone_extend", lambda dataset, ranking: dataset)
+    doc = dict(CHAIN)
+    doc["monotone"] = [["a", "b"], ["b", "c"], ["c", "b"]]
+    data = write(tmp_path, "mono.json", doc)
+    assert run_cli("monotone-check", "--input", data) == (
+        0,
+        """{
+  "all_increasing": false,
+  "violations": [
+    {
+      "utility": [
+        "0",
+        "0",
+        "-1"
+      ],
+      "pair": [
+        "c",
+        "b"
+      ]
+    }
+  ]
+}
+""",
+        "",
+    )
 
 
 def test_monotone_check_requires_section(tmp_path):
@@ -352,6 +396,36 @@ def test_an_answer_too_large_to_print_is_a_validation_error(tmp_path):
     limit = sys.get_int_max_str_digits()
     assert body["message"].startswith(f"an integer of 6001 digits is past Python's limit of {limit} digits")
     assert "PYTHONINTMAXSTRDIGITS" in body["message"] and "set_int_max_str_digits" not in body["message"]
+
+
+# D1 and D2 as above: 1/D1 + 1/D2 has a 6,001-digit denominator, past the limit, on inputs each under it
+WIDE = {"a": f"1/{10**3000 + 1}", "b": f"1/{10**3000 + 3}"}
+
+
+@pytest.mark.parametrize(
+    "verb, doc, expected",
+    [
+        (
+            "represent",
+            {"outcomes": ["a", "b", "c"], "prefers": [{"p": WIDE, "q": {"c": 1}}]},
+            {
+                "kind": "schema",
+                "message": "lottery mass must be exactly 1, got a rational of 6001 digits",
+                "path": "prefers[0].p",
+            },
+        ),
+        (
+            "decompose",
+            {"outcomes": ["a", "b"], "measure": WIDE},
+            {"kind": "validation", "message": "entries must sum to 0, got a rational of 6001 digits"},
+        ),
+    ],
+    ids=["lottery-mass", "zero-sum"],
+)
+def test_a_total_too_large_to_print_is_named_by_its_digits(tmp_path, verb, doc, expected):
+    code, out, err = run_cli(verb, "--input", write(tmp_path, "in.json", doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == expected
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):

@@ -96,6 +96,26 @@ def test_parse_dataset_errors_carry_paths():
         J.parse_dataset(unknown)
 
 
+@pytest.mark.parametrize(
+    "item, path, message",
+    [
+        ([{"a": 1}], "prefers[1]", "expected an object, got list"),
+        ({"q": {"c": 1}}, "prefers[1].p", "missing key"),
+        ({"p": {"b": 1}}, "prefers[1].q", "missing key"),
+        # both keys are looked up before either lottery is parsed
+        ({"p": {"b": "1/2"}}, "prefers[1].q", "missing key"),
+    ],
+    ids=["not-an-object", "no-p", "no-q", "bad-p-and-no-q"],
+)
+def test_parse_dataset_statement_errors(item, path, message):
+    doc = chain_doc()
+    doc["prefers"][1] = item
+    with pytest.raises(J.SchemaError) as exc:
+        J.parse_dataset(doc)
+    assert (exc.value.kind, exc.value.path, exc.value.message) == ("schema", path, message)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_parse_query_pair():
     sp = OutcomeSpace(["a", "b"])
     p, q = J.parse_query_pair({"p": {"a": 1}, "q": {"b": 1}}, sp)

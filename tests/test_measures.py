@@ -23,6 +23,8 @@ from multiutility import (
 )
 from multiutility.measures import as_fraction
 
+from oracles import random_lottery
+
 AB = OutcomeSpace(["a", "b"])
 ABC = OutcomeSpace(["a", "b", "c"])
 
@@ -249,14 +251,9 @@ def test_mix():
         mix(2, p, q)
     with pytest.raises(MixtureRangeError):
         mix("-1/2", p, q)
-
-
-def random_lottery(rng, space):
-    # composition method: split a random denominator across the outcomes
-    den = rng.randint(1, 6)
-    cuts = sorted(rng.randint(0, den) for _ in range(len(space) - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return Lottery.from_values(space, [Fraction(k, den) for k in parts])
+    # a weight past Python's digit limit is named by its digits, not printed
+    with pytest.raises(MixtureRangeError, match=r"got a rational of 5001 digits$"):
+        mix(Fraction(10**5000 + 1, 10**5000), p, q)
 
 
 def random_signed(rng, space):

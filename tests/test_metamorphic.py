@@ -36,14 +36,9 @@ from multiutility import (
 from multiutility.cones import IN
 from multiutility.preferences import utilities_agree
 
+from oracles import random_lottery
+
 MODERATE = ((10, 14), (12, 24), (14, 20))
-
-
-def random_lottery(rng, space, max_den=6):
-    den = rng.randint(1, max_den)
-    cuts = sorted(rng.randint(0, den) for _ in range(len(space) - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return Lottery.from_values(space, [Fraction(k, den) for k in parts])
 
 
 def moderate_dataset(n, m):

@@ -101,7 +101,7 @@ RECORDS = {
         "TruncatedConstruction(n=1, space=OutcomeSpace(['a', 'b1', 'h(a)', 'h(b1)']), "
         "anchor=Measure({'a': '1', 'h(a)': '-1'}), "
         "generators=(Measure({'a': '1', 'b1': '1', 'h(a)': '-1', 'h(b1)': '-1'}),), "
-        "int_generators=((1, 1, -1, -1),))",
+        "cone=PolyhedralCone(dim=4, rays=[(1, 1, -1, -1)], lineality=[]))",
     ),
     "PreferenceDataset": (
         DATASET,

@@ -29,6 +29,7 @@ from multiutility import (
 from multiutility.cones import IN, OUT
 from multiutility.preferences import Representation, first_violation, utilities_agree
 
+from oracles import random_lottery
 from test_metamorphic import mixing_mismatches
 
 AB = OutcomeSpace(["a", "b"])
@@ -260,13 +261,6 @@ def test_representation_expectation_matches_statements():
     for p, q in d.statements:
         for u in rep.utilities:
             assert expectation(p, u) >= expectation(q, u)
-
-
-def random_lottery(rng, space):
-    den = rng.randint(1, 6)
-    cuts = sorted(rng.randint(0, den) for _ in range(len(space) - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return Lottery.from_values(space, [Fraction(k, den) for k in parts])
 
 
 def random_dataset(rng, space, max_statements):
