@@ -121,6 +121,7 @@ def _verify_representation(rep, dataset: PreferenceDataset) -> None:
 
 def _verify_verdict(rep, diff, verdict) -> None:
     # diff is the input pair's p - q, cleared once and shared with the query
+    # membership rechecks a certificate only on the vector it was given; this binds it to the input pair
     if not verify_membership(rep.cone, diff, verdict.forward):
         raise VerificationError("forward certificate failed recheck")
     if not verify_membership(rep.cone, -diff, verdict.backward):

@@ -193,8 +193,8 @@ def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVect
         if not any(w[:dim]) and all(c >= 0 for c in lam[: len(gens)]):
             return LPResult(OPTIMAL, Fraction(0), lam, (Fraction(0),) * dim)
     lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
-    for i in range(len(x)):
-        lp.add([c[i] for c in cols], "==", x[i])
+    for row, b in zip(zip(*cols), x):
+        lp.add(row, "==", b)
     return lp.feasibility()
 
 

@@ -2,10 +2,13 @@
 
 Two-phase primal simplex with Bland's pivoting rule, which guarantees
 termination without cycling and makes every run deterministic.  The tableau
-is dense and integer: each row holds integer numerators over one positive
-denominator, and Fractions appear only in the returned results.  Artificial
-variables are introduced only for rows whose slack cannot seed the initial
-basis.
+is an integer dictionary: it stores the nonbasic columns only, and every
+row, the objective row included, holds integer numerators over one common
+positive denominator.  Each pivot divides exactly by the previous one
+(Bareiss 1968), so no gcd is taken and Fractions appear only in the returned
+results.  Artificial variables are introduced only for rows whose slack
+cannot seed the initial basis.  When every cost is zero, phase 1 alone gives
+the answer.
 
 Solutions, objective values and dual multipliers are exact.  For infeasible
 problems the reported multipliers form a Farkas certificate: y is
@@ -16,7 +19,7 @@ to zero with free-variable columns, and satisfies <y, b> > 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from ._linalg import clear_denominators
@@ -85,119 +88,119 @@ class ExactLP:
     def minimize(self, costs: Sequence) -> LPResult:
         if len(costs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} costs, got {len(costs)}")
-        return _Simplex(self, [as_fraction(c) for c in costs]).run()
-
-
-def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int) -> tuple[list[int], int]:
-    """Clear ``col`` of ``row``/``den`` with the pivot row ``prow``/``p``, whose ``col`` entry is p/p = 1."""
-    f = row[col]
-    nums = [x * p - f * y for x, y in zip(row, prow)]
-    g = gcd(den * p, *nums)
-    return [x // g for x in nums], den * p // g
+        return _Simplex(self, [c if isinstance(c, int) else as_fraction(c) for c in costs]).run()
 
 
 class _Simplex:
     """Standard-form tableau machinery behind :class:`ExactLP`.
 
-    Every row is a list of integer numerators, one per column with the
-    right-hand side last, over one positive integer denominator (``dens[i]``
-    for constraint row i, ``obj_den`` for the objective row, whose last entry
-    is minus the objective value).  A pivot cross-multiplies and divides each
-    changed row by the gcd of its denominator and numerators, so every true
-    value, and with it every Bland choice, is that of a Fraction tableau.
+    The tableau is a dictionary, as in lrs: a basic variable's column is a
+    unit column and is not stored, so ``rows[i][j]`` is the entry of basic
+    variable ``basis[i]`` in the column of nonbasic variable ``cobasis[j]``,
+    the right-hand side last.  Every entry, those of the objective row
+    ``obj`` included, is an integer numerator over the one positive
+    denominator ``den``: the determinant, up to sign, of the current basis of
+    the integer system whose row r is standard row r times its clearing
+    denominator.  So ``den`` starts as the product of those denominators, not
+    their lcm.  A pivot on p sets every other row to (p*row - f*prow) // den,
+    exact by Sylvester's identity (Bareiss 1968), and then den to p, after
+    negating the pivot row if p < 0; the pivot column becomes the leaving
+    variable's.  The true tableau is that of Fractions, so every Bland choice
+    is too.  ``obj`` is den * c - sum(c_B * row) for integer costs c over
+    ``cost_den``; its last entry is minus the objective value times
+    den * cost_den.
     """
 
-    def __init__(self, lp: ExactLP, costs: list[Fraction]):
+    def __init__(self, lp: ExactLP, costs: list[int | Fraction]):
         self.lp = lp
         self.costs = costs
 
-        # Column layout: one column per nonnegative variable, a (+,-) pair
-        # per free variable, then one slack per inequality row, artificials
-        # last.  col_of_var maps each LP variable to its signed columns.
-        self.col_of_var: list[list[tuple[int, int]]] = []
-        ncols = 0
-        for i in range(lp.num_vars):
-            if i in lp.free:
-                self.col_of_var.append([(ncols, 1), (ncols + 1, -1)])
-                ncols += 2
-            else:
-                self.col_of_var.append([(ncols, 1)])
-                ncols += 1
+        # Variables: one column per nonnegative LP variable, a (+,-) pair per
+        # free one, then one slack per inequality row, artificials last.
+        # signed_cols[j] = (LP variable, sign) of structural column j.
+        self.signed_cols = [(i, s) for i in range(lp.num_vars) for s in ((1, -1) if i in lp.free else (1,))]
+        nstruct = len(self.signed_cols)
+        self.art_start = nstruct + sum(sense != "==" for _, sense, _ in lp.rows)
 
         # Standard form A x = b with b >= 0 (rows flipped as needed).  A
         # slack seeds the basis only if it enters its flipped row with +1;
-        # every other row gets an artificial column.
-        slack_cols: list[int | None] = []
-        slack_sign: list[int] = []
-        row_sign: list[int] = []
-        for _, sense, rhs_val in lp.rows:
-            row_sign.append(1 if rhs_val >= 0 else -1)
-            slack_cols.append(None if sense == "==" else ncols)
-            slack_sign.append(0 if sense == "==" else row_sign[-1] * (1 if sense == "<=" else -1))
-            ncols += sense != "=="
-        self.art_start = ncols
-        self.art_col_of_row: list[int | None] = []
-        for sign in slack_sign:
-            self.art_col_of_row.append(None if sign == 1 else ncols)
-            ncols += sign != 1
-        self.ncols = ncols
-
-        self.rows: list[list[int]] = []
-        self.dens: list[int] = []
+        # every other row gets an artificial, and its slack starts nonbasic.
+        flips = [1 if rhs >= 0 else -1 for _, _, rhs in lp.rows]
         self.basis: list[int] = []
-        self.row_origin: list[int] = []
-        # marker[r] = (column that is +e_r in the standard system, row sign);
-        # its final reduced cost recovers the dual multiplier of row r.
-        self.marker: list[tuple[int, int]] = []
-        for r, (coeffs, _sense, rhs_val) in enumerate(lp.rows):
-            sign = row_sign[r]
-            nums, den = clear_denominators((*coeffs, rhs_val))
-            row = [0] * (ncols + 1)
-            for var, cval in enumerate(nums[:-1]):
-                if cval != 0:
-                    for col, s in self.col_of_var[var]:
-                        row[col] = sign * s * cval
-            if slack_cols[r] is not None:
-                row[slack_cols[r]] = slack_sign[r] * den
-            basic = self.art_col_of_row[r]
-            if basic is None:
-                basic = slack_cols[r]
+        self.cobasis = list(range(nstruct))
+        # cobasis position of each row's slack, if that slack starts nonbasic
+        slack_col: list[int | None] = []
+        slack, art = nstruct, self.art_start
+        for (_, sense, _), flip in zip(lp.rows, flips):
+            if sense != "==" and (sense == "<=") == (flip == 1):
+                self.basis.append(slack)
+                slack_col.append(None)
             else:
-                row[basic] = den
-            row[-1] = sign * nums[-1]
+                self.basis.append(art)
+                art += 1
+                slack_col.append(len(self.cobasis) if sense != "==" else None)
+                if sense != "==":
+                    self.cobasis.append(slack)
+            slack += sense != "=="
+        self.nvars = art  # of the standard form: structural, slack and artificial
+        # marker[r] = (variable that is +e_r in the standard system, row sign);
+        # its final reduced cost recovers the dual multiplier of row r.
+        self.marker = list(zip(self.basis, flips))
+        self.row_origin = list(range(len(lp.rows)))
+
+        # Each standard row times the product of the rows' clearing
+        # denominators, the determinant of the starting basis.
+        self.den = den = prod(lcm(rhs.denominator, *(c.denominator for c in coeffs)) for coeffs, _, rhs in lp.rows)
+        padding = [0] * (len(self.cobasis) - nstruct)
+        self.rows: list[list[int]] = []
+        for (coeffs, _, rhs), flip, col in zip(lp.rows, flips, slack_col):
+            k = flip * den
+            nums = [k * c.numerator // c.denominator for c in coeffs]
+            row = [s * nums[var] for var, s in self.signed_cols] + padding
+            row.append(k * rhs.numerator // rhs.denominator)
+            if col is not None:
+                row[col] = -den
             self.rows.append(row)
-            self.dens.append(den)
-            self.basis.append(basic)
-            self.row_origin.append(r)
-            self.marker.append((basic, sign))
         self.obj: list[int] = []
-        self.obj_den = 1
 
     # -- tableau primitives -------------------------------------------------
 
-    def _pivot(self, row_idx: int, col: int) -> tuple[list[int], int]:
-        """Pivot on (row_idx, col); return the new pivot row and denominator."""
-        prow = self.rows[row_idx]
-        g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)
-        prow = [x // g for x in prow]
+    def _pivot(self, row_idx: int, col: int) -> None:
+        prow, den = self.rows[row_idx], self.den
         p = prow[col]
-        for i, row in enumerate(self.rows):
-            if i != row_idx and row[col] != 0:
-                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, p, col)
-        self.rows[row_idx], self.dens[row_idx] = prow, p
-        self.basis[row_idx] = col
-        return prow, p
+        sign = 1 if p > 0 else -1
+        prow = prow[:] if p > 0 else [-x for x in prow]
+        p *= sign
 
-    def _bland(self, allowed: list[bool]) -> str:
+        # the leaving variable's column was den in the pivot row, 0 elsewhere
+        rows = [*self.rows, self.obj]
+        for i, row in enumerate(rows):
+            if i == row_idx:
+                continue
+            f = row[col]
+            if f:
+                row = [(p * x - f * y) // den for x, y in zip(row, prow)]
+                row[col] = -sign * f
+            elif p != den:
+                row = [x * p // den for x in row]
+            rows[i] = row
+        prow[col] = sign * den
+        rows[row_idx] = prow
+        *self.rows, self.obj = rows
+        self.basis[row_idx], self.cobasis[col] = self.cobasis[col], self.basis[row_idx]
+        self.den = p
+
+    def _bland(self, limit: int) -> str:
+        """Bland's rule over the variables below limit, until optimal or unbounded."""
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if allowed[j] and self.obj[j] < 0:
-                    enter = j
-                    break
+            # the nonbasic variable of smallest index with a negative reduced cost
+            obj, first, enter = self.obj, limit, -1
+            for j, v in enumerate(self.cobasis):
+                if v < first and obj[j] < 0:
+                    first, enter = v, j
             if enter < 0:
                 return OPTIMAL
-            # ratio rhs/a within a row is the same over any denominator
+            # over one denominator the ratio rhs/a is that of the numerators
             leave = -1
             for i, row in enumerate(self.rows):
                 a = row[enter]
@@ -210,49 +213,42 @@ class _Simplex:
                         leave, best_rhs, best_a = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED
-            prow, p = self._pivot(leave, enter)
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, enter)
+            self._pivot(leave, enter)
 
-    def _reduced_costs(self, costs_by_col: list[int], cost_den: int) -> None:
-        basic = [(i, costs_by_col[b]) for i, b in enumerate(self.basis) if costs_by_col[b] != 0]
-        den = lcm(*(self.dens[i] for i, _ in basic))
-        obj = [c * den for c in costs_by_col] + [0]
-        for i, cb in basic:
-            k = cb * (den // self.dens[i])
-            obj = [x - k * y for x, y in zip(obj, self.rows[i])]
-        g = gcd(cost_den * den, *obj)
-        self.obj, self.obj_den = [x // g for x in obj], cost_den * den // g
+    def _reduced_costs(self, costs: list[int]) -> None:
+        """Set obj for integer costs, one per variable."""
+        charged = []
+        for b, row in zip(self.basis, self.rows):
+            c = costs[b]
+            if c:
+                charged.append(row if c == 1 else [c * x for x in row])
+        sums = [sum(col) for col in zip(*charged)] if charged else [0] * (len(self.cobasis) + 1)
+        self.obj = [self.den * costs[v] - t for v, t in zip(self.cobasis, sums)]
+        self.obj.append(-sums[-1])
 
     # -- phases ---------------------------------------------------------------
 
     def run(self) -> LPResult:
-        phase1 = [0] * self.ncols
-        for col in self.art_col_of_row:
-            if col is not None:
-                phase1[col] = 1
-        self._reduced_costs(phase1, 1)
-        allowed = [True] * self.ncols
-        status = self._bland(allowed)
+        phase1 = [0] * self.art_start + [1] * (self.nvars - self.art_start)
+        self._reduced_costs(phase1)
+        status = self._bland(self.nvars)
         if status != OPTIMAL:
             raise CertificateError(f"phase 1 ended {status}, but it is bounded below by zero")
         if self.obj[-1] < 0:
             return LPResult(INFEASIBLE, None, None, self._duals(phase1, 1))
+        if not any(self.costs):
+            # Phase 2 would not pivot, and driving out an artificial pivots on
+            # a row whose right-hand side is 0, so the phase-1 basis answers.
+            return LPResult(OPTIMAL, _ZERO, self._solution(), (_ZERO,) * len(self.lp.rows))
 
         self._drive_out_artificials()
 
         nums, cost_den = clear_denominators(self.costs)
-        phase2 = [0] * self.ncols
-        for var, cval in enumerate(nums):
-            for col, s in self.col_of_var[var]:
-                phase2[col] = s * cval
-        for col in self.art_col_of_row:
-            if col is not None:
-                allowed[col] = False
-        self._reduced_costs(phase2, cost_den)
-        status = self._bland(allowed)
-        if status == UNBOUNDED:
+        phase2 = [s * nums[var] for var, s in self.signed_cols] + [0] * (self.nvars - len(self.signed_cols))
+        self._reduced_costs(phase2)
+        if self._bland(self.art_start) == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None, None)
-        objective = Fraction(-self.obj[-1], self.obj_den)
+        objective = Fraction(-self.obj[-1], self.den * cost_den)
         return LPResult(OPTIMAL, objective, self._solution(), self._duals(phase2, cost_den))
 
     def _drive_out_artificials(self) -> None:
@@ -263,41 +259,40 @@ class _Simplex:
         for i in range(len(self.rows)):
             if self.basis[i] < self.art_start:
                 continue
-            col = next((j for j in range(self.art_start) if self.rows[i][j] != 0), None)
-            if col is None:
+            row = self.rows[i]
+            nonzero = (j for j, v in enumerate(self.cobasis) if v < self.art_start and row[j] != 0)
+            col = min(nonzero, key=self.cobasis.__getitem__, default=-1)
+            if col < 0:
                 dead.append(i)
             else:
                 self._pivot(i, col)
         for i in reversed(dead):
             del self.rows[i]
-            del self.dens[i]
             del self.basis[i]
             del self.row_origin[i]
 
     # -- certificate extraction ----------------------------------------------
 
-    def _duals(self, costs_by_col: list[int], cost_den: int) -> tuple[Fraction, ...]:
+    def _duals(self, costs: list[int], cost_den: int) -> tuple[Fraction, ...]:
         alive = set(self.row_origin)
+        # a basic variable's reduced cost is 0
+        reduced = dict(zip(self.cobasis, self.obj))
         duals: list[Fraction] = []
         for r in range(len(self.lp.rows)):
             if r not in alive:
                 duals.append(_ZERO)
                 continue
-            col, sign = self.marker[r]
+            var, sign = self.marker[r]
             # The marker column is +e_r with cost c in the standard system,
             # so its reduced cost is c - y_r; undo the row flip afterwards.
-            y_std = Fraction(costs_by_col[col], cost_den) - Fraction(self.obj[col], self.obj_den)
+            y_std = Fraction(costs[var] * self.den - reduced.get(var, 0), self.den * cost_den)
             duals.append(sign * y_std)
         return tuple(duals)
 
     def _solution(self) -> tuple[Fraction, ...]:
-        col_val = [_ZERO] * self.ncols
-        for i, b in enumerate(self.basis):
-            col_val[b] = Fraction(self.rows[i][-1], self.dens[i])
-        out = []
-        for var in range(self.lp.num_vars):
-            v = _ZERO
-            for col, s in self.col_of_var[var]:
-                v += s * col_val[col]
-            out.append(v)
-        return tuple(out)
+        values = [0] * self.lp.num_vars
+        for b, row in zip(self.basis, self.rows):
+            if b < len(self.signed_cols):
+                var, s = self.signed_cols[b]
+                values[var] += s * row[-1]
+        return tuple(Fraction(v, self.den) if v else _ZERO for v in values)

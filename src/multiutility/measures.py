@@ -226,7 +226,7 @@ class Measure:
         return hash((self.space, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
-        body = {self.space.outcomes[i]: str(v) for i, v in sorted(self.entries.items())}
+        body = {self.space.outcomes[i]: show_rational(v) for i, v in sorted(self.entries.items())}
         return f"{type(self).__name__}({body!r})"
 
 
@@ -287,7 +287,7 @@ class Utility:
         return hash((self.space, self.values))
 
     def __repr__(self) -> str:
-        return f"Utility({[str(v) for v in self.values]!r})"
+        return f"Utility({[show_rational(v) for v in self.values]!r})"
 
 
 class Decomposition(NamedTuple):

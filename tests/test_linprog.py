@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from multiutility.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, ExactLP
+from oracles import _rank
 
 
 def check_minimize_certificate(rows, free, costs, res):
@@ -129,6 +130,21 @@ def test_degenerate_pivoting_terminates():
     assert res.objective == Fraction(-1, 20)
 
 
+def test_divisor_starts_at_the_product_of_the_row_denominators():
+    # the rows clear by 2 and by 4; an integer tableau over their lcm 4, not
+    # the starting basis's determinant 8, truncates and reports INFEASIBLE
+    rows = [([0, Fraction(5, 2)], "==", 4), ([1, -4], ">=", Fraction(-5, 4))]
+    lp = ExactLP(2)
+    for coeffs, sense, rhs in rows:
+        lp.add(coeffs, sense, rhs)
+    vertex = (Fraction(103, 20), Fraction(8, 5))
+    assert lp.feasibility() == (OPTIMAL, 0, vertex, (0, 0))
+    costs = [2, Fraction(1, 2)]
+    res = lp.minimize(costs)
+    assert res == (OPTIMAL, Fraction(111, 10), vertex, (Fraction(17, 5), 2))
+    check_minimize_certificate(rows, set(), costs, res)
+
+
 def test_redundant_equality_rows():
     lp = ExactLP(2)
     lp.add([1, 1], "==", 2)
@@ -237,3 +253,47 @@ def test_pinned_pivot_path():
     assert Counter(r[0] for r in results) == {OPTIMAL: 152, INFEASIBLE: 98, UNBOUNDED: 50}
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "ea160d39da7e3a3dff1250f90a4e89544306be261d7f9b7d7cd5cbcadd72578c"
+
+
+def _hull_shaped_lps():
+    """k equality rows over k nonnegative columns of rank k - 1, as cones' hull LPs are.
+
+    The right-hand side is a nonnegative combination of the columns (inside
+    the cone), a combination with some negative weights (in the span, mostly
+    outside the cone), or random (off the span).
+    """
+    rng = random.Random(1414)
+    for trial in range(240):
+        k = rng.randint(3, 10)
+        span = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k - 1)]
+        while _rank(span) < k - 1:
+            span = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k - 1)]
+        gens = span + [[sum(rng.randint(-2, 2) * v[i] for v in span) for i in range(k)]]
+        kind = trial % 3
+        if kind == 2:
+            rhs = [rng.randint(-4, 4) for _ in range(k)]
+        else:
+            lam = [rng.randint(-kind, 3) for _ in gens]
+            rhs = [sum(w * g[i] for w, g in zip(lam, gens)) for i in range(k)]
+        yield kind, [([g[i] for g in gens], "==", rhs[i]) for i in range(k)]
+
+
+def test_pinned_hull_shaped_path():
+    # the shape of every LP a query solves; the digest was recorded from the
+    # two-phase solver that normalized each row by its own gcd
+    results = []
+    kinds = Counter()
+    for kind, rows in _hull_shaped_lps():
+        lp = ExactLP(len(rows))
+        for coeffs, sense, rhs in rows:
+            lp.add(coeffs, sense, rhs)
+        res = lp.feasibility()
+        if res.status == OPTIMAL:
+            check_minimize_certificate(rows, set(), [0] * len(rows), res)
+        else:
+            check_farkas(rows, set(), res.duals)
+        kinds[kind, res.status] += 1
+        results.append(tuple(res))
+    assert kinds == {(0, OPTIMAL): 80, (1, OPTIMAL): 20, (1, INFEASIBLE): 60, (2, INFEASIBLE): 80}
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "ff01db9a477274b2e561d060d993d9b3f9e4126959fb69eee4e763d4778cb278"

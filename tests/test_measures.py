@@ -157,6 +157,17 @@ def test_lottery_equals_the_measure_with_its_entries():
     assert norm(p) == norm(m) == 1
 
 
+def test_measure_repr_names_a_value_past_the_digit_limit_by_its_digits():
+    # str() of such a value raises, with advice to call sys.set_int_max_str_digits()
+    tiny = Fraction(1, 10**5000)
+    assert repr(Measure.from_values(AB, [tiny, 0])) == "Measure({'a': 'a rational of 5001 digits'})"
+
+
+def test_utility_repr_names_a_value_past_the_digit_limit_by_its_digits():
+    tiny = Fraction(1, 10**5000)
+    assert repr(Utility(AB, [0, tiny])) == "Utility(['0', 'a rational of 5001 digits'])"
+
+
 def test_expectation_point_mass():
     # a point mass reads off one coordinate
     assert expectation(Lottery.point_mass(AB, "a"), Utility(AB, [3, 7])) == 3
