@@ -4,10 +4,12 @@ A cone is stored as a lineality basis plus pointed-part rays, every vector a
 primitive integer tuple.  ``cone_from_inequalities`` is the one double
 description pass: rows are inserted incrementally starting from the full
 space, and adjacency of rays is decided by containment between the bitmasks
-of rows they lie on.  The other direction needs no pass: the dual of
-{x : Hx >= 0} is cone(H), whose lineality and extreme rays ``dual_cone``
-reads off the rays' zero sets.  A hull of generators is read off the cone
-they cut out in the same way, so building a cone never runs an LP.
+of rows they lie on.  Each ray carries its values on the rows, and a combined
+ray combines its parents' values, so rays are paired with rows only once.
+The other direction needs no pass: the dual of {x : Hx >= 0} is cone(H),
+whose lineality and extreme rays ``dual_cone`` reads off the rays' zero sets.
+A hull of generators is read off the cone they cut out in the same way, so
+building a cone never runs an LP.
 An IN answer over independent generators is read off one elimination;
 otherwise membership runs an exact feasibility LP.  Either way it returns a
 checkable certificate: conic coefficients when the vector lies inside, an
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from ._linalg import (
@@ -217,9 +220,11 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
     alone.  First every row that cuts the current lineality goes in, lowest
     index first (a row that does not cut it never will, as it only shrinks).
     Then, one at a time, the remaining row that forms the fewest plus-minus
-    ray pairs, ties going to the lowest index; each ray keeps its values on
-    the remaining rows, so the pair counts are kept up to date as rays come
-    and go.  Two rays are adjacent exactly when no third ray's zero set
+    ray pairs, ties going to the lowest index, counted over the rays' values
+    on that row.  Each ray gets its values on the remaining rows once, when
+    the lineality is done; a combined ray's values are the same combination
+    of its parents' values over the same gcd, so no new ray meets a row.
+    Two rays are adjacent exactly when no third ray's zero set
     contains the intersection of theirs (Fukuda & Prodon), which holds
     because the rays stay distinct modulo the lineality.  A popcount bound,
     dim - |lineality| - 2, filters first.  The containment test is indexed:
@@ -251,43 +256,29 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
         lineality = [onto_row(l, v) for i, (l, v) in enumerate(zip(lineality, lin_vals)) if i != cut]
         # l0 is orthogonal to every inserted row, so a ray moved along it keeps
         # its zero set, and l0 becomes a ray lying on all the inserted rows
-        rays = _dedupe([(onto_row(r, dot(a, r)), z | 1 << k) for r, z in rays.items()] + [(l0, done)])
+        moved = [(onto_row(r, dot(a, r)), z | 1 << k) for r, z in rays.items()] + [(l0, done)]
+        rays = {r: z for r, z in moved if not is_zero(r)}
         done |= 1 << k
 
     target = dim - len(lineality) - 2
-    # per remaining row, how many rays lie on its positive and on its negative side
-    sides = {k: [0, 0] for k in rest}
-    vals: dict[IntVector, dict[int, int]] = {}
-
-    def enter(r: IntVector) -> None:
-        vals[r] = {k: dot(rows[k], r) for k in rest}
-        for k, v in vals[r].items():
-            if v:
-                sides[k][v < 0] += 1
-
-    def leave(r: IntVector) -> None:
-        for k, v in vals.pop(r).items():
-            if v and k in sides:
-                sides[k][v < 0] -= 1
-
-    for r in rays:
-        enter(r)
-    while rest:
-        k = min(rest, key=lambda k: sides[k][0] * sides[k][1])
-        rest.remove(k)
-        del sides[k]
-        bit = 1 << k
+    # each ray maps to its zero set and its values on the remaining rows, v[j] on rows[rest[j]]
+    rays = {r: (z, [dot(rows[k], r) for k in rest]) for r, z in rays.items()}
+    while rays and rest:
+        cols = list(zip(*(v for _, v in rays.values())))  # cols[j]: the rays' values on rows[rest[j]]
+        # the row forming the fewest plus-minus pairs, the lowest on a tie
+        j = min(range(len(rest)), key=lambda j: sum(map((0).__lt__, cols[j])) * sum(map((0).__gt__, cols[j])))
+        bit = 1 << rest.pop(j)
         # on[b]: bitmask of the positions of the rays lying on the inserted row with bit b
         on: dict[int, int] = {}
-        for i, z in enumerate(rays.values()):
+        for i, (z, _) in enumerate(rays.values()):
             while z:
                 b = z & -z  # lowest set bit
                 on[b] = on.get(b, 0) | 1 << i
                 z ^= b
         every = (1 << len(rays)) - 1
-        plus = [(r, z, vals[r][k], 1 << i) for i, (r, z) in enumerate(rays.items()) if vals[r][k] > 0]
-        minus = [(r, z, vals[r][k], 1 << i) for i, (r, z) in enumerate(rays.items()) if vals[r][k] < 0]
-        new_rays = [(r, z) for r, z, _, _ in plus] + [(r, z | bit) for r, z in rays.items() if vals[r][k] == 0]
+        plus = [(r, z, v, 1 << i) for i, (r, (z, v)) in enumerate(rays.items()) if v[j] > 0]
+        minus = [(r, z, v, 1 << i) for i, (r, (z, v)) in enumerate(rays.items()) if v[j] < 0]
+        new_rays = [(r, (z, v)) for r, z, v, _ in plus] + [(r, (z | bit, v)) for r, (z, v) in rays.items() if not v[j]]
         for rp, zp, vp, ip in plus:
             for rm, zm, vm, im in minus:
                 common = zp & zm
@@ -300,20 +291,17 @@ def _double_description(dim: int, rows: Sequence[IntVector]) -> tuple[list[IntVe
                     c &= c - 1
                 if others:
                     continue
-                # vp*rm - vm*rp lands exactly on the new hyperplane
-                new_rays.append((primitive(tuple(vp * m - vm * p for p, m in zip(rp, rm))), common | bit))
-        new = _dedupe(new_rays)
-        for r in rays.keys() - new.keys():
-            leave(r)
-        for r in new.keys() - rays.keys():
-            enter(r)
-        rays = new
-    return lineality, rays
-
-
-def _dedupe(rays: Iterable[tuple[IntVector, int]]) -> dict[IntVector, int]:
-    """Nonzero rays in first-seen order, each mapped to its zero set."""
-    return {r: z for r, z in rays if not is_zero(r)}
+                # s*rm + t*rp lands exactly on the new hyperplane; its values are the same combination
+                s, t = vp[j], -vm[j]
+                w = tuple(s * m + t * p for p, m in zip(rp, rm))
+                g = gcd(*w)
+                if g:  # a zero combination is no ray
+                    vals = [(s * m + t * p) // g for p, m in zip(vp, vm)]
+                    new_rays.append((tuple(x // g for x in w), (common | bit, vals)))
+        rays = dict(new_rays)
+        for _, v in rays.values():
+            del v[j]  # the inserted row's values are spent; each list belongs to one ray
+    return lineality, {r: z for r, (z, _) in rays.items()}
 
 
 def _echelon(vectors: Iterable[IntVector]) -> tuple[tuple[int, IntVector], ...]:

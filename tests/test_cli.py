@@ -437,6 +437,17 @@ def test_unwritable_output_is_an_io_error(tmp_path):
     assert body["kind"] == "io" and body["message"].startswith(f"cannot write {target}: ")
 
 
+@pytest.mark.parametrize("argv", [("represent", "--pin", "c", "--verify"), ("counterexample", "--n", "3")])
+def test_output_file_gets_exactly_the_stdout_bytes(tmp_path, argv):
+    if argv[0] == "represent":
+        argv += ("--input", write(tmp_path, "chain.json", CHAIN))
+    code, printed, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    target = tmp_path / "out.txt"
+    assert run_cli(*argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
 def test_unknown_outcome_in_pair(tmp_path):
     data = write(tmp_path, "chain.json", CHAIN)
     pair = write(tmp_path, "pair.json", {"p": {"z": 1}, "q": {"a": 1}})

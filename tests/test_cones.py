@@ -31,7 +31,7 @@ from multiutility.cones import (
     membership,
     verify_membership,
 )
-from multiutility._linalg import primitive
+from multiutility._linalg import dot, primitive
 from multiutility.linprog import OPTIMAL, ExactLP
 
 from oracles import (
@@ -173,6 +173,26 @@ def test_verify_rejects_doctored_certificates():
     half = ("1/2", "-1/2")
     assert not verify_membership(c, half, MembershipCertificate(IN, combination=((0, 1),)))
     assert verify_membership(c, half, MembershipCertificate(IN, combination=((0, Fraction(1, 2)),)))
+    # an IN without a combination, and a verdict that is neither IN nor OUT
+    assert not verify_membership(c, (2, -2), MembershipCertificate(IN))
+    assert not verify_membership(c, (2, -2), MembershipCertificate("MAYBE", combination=good_in.combination))
+    # an OUT separator must vanish on the lineality: (1, 1) fails only there
+    half_plane = cone_from_generators([(1, 0), (0, 1), (0, -1)])
+    assert (half_plane.rays, half_plane.lineality) == (((1, 0),), ((0, 1),))
+    assert verify_membership(half_plane, (-1, -5), MembershipCertificate(OUT, separator=(1, 0)))
+    assert not verify_membership(half_plane, (-1, -5), MembershipCertificate(OUT, separator=(1, 1)))
+
+
+def test_cone_refuses_generators_that_break_its_rows():
+    with pytest.raises(ValueError, match=r"^representations disagree: ray \(1, -1\) violates row \(0, 1\)$"):
+        PolyhedralCone(2, rays=[(1, -1)], inequalities=[(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"^representations disagree: lineality \(1, 1\) not on row \(1, 0\)$"):
+        PolyhedralCone(2, lineality=[(1, 1)], inequalities=[(1, 0)])
+
+
+def test_dot_refuses_vectors_of_unequal_length():
+    with pytest.raises(ValueError, match=r"^cannot pair vectors of lengths 2 and 3$"):
+        dot((1, 2), (1, 2, 3))
 
 
 def test_inequalities_round_trip():
@@ -366,19 +386,28 @@ def test_indexed_adjacency_matches_the_scan():
         rows = _late_cut_rows(rng, dim)
         for _ in range(rng.randint(0, 2)):
             rows.insert(rng.randint(0, len(rows)), rng.choice([(0,) * dim, rng.choice(rows)]))
-        lin, rays = _double_description(dim, rows)
-        assert (lin, list(rays.items())) == _scanned(dim, rows), (dim, rows)
+        assert _matches_the_scan(dim, rows), (dim, rows)
     dataset = moderate_dataset(14, 28)
     rows = [primitive((p - q).dense()) for p, q in dataset.statements]
     for seed in range(8):
         random.Random(seed).shuffle(rows)
-        lin, rays = _double_description(14, rows)
-        assert (lin, list(rays.items())) == _scanned(14, rows), seed
+        assert _matches_the_scan(14, rows), seed
+    # hull-shaped rows, as canonical_rep inserts them for equal-reps: a utility set and both constant directions
+    rep = extract_representation(moderate_dataset(8, 16), "z0")
+    hull = [primitive(u) for u in rep.cleared_utilities] + [(1,) * 8, (-1,) * 8]
+    for seed in range(4):
+        assert _matches_the_scan(8, hull), seed
+        random.Random(seed).shuffle(hull)
+    # the ray set empties while rows are left to insert
+    for rows in ([(1, 0), (0, 1), (-1, -1), (1, 1)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)]):
+        assert _double_description(len(rows[0]), rows) == ([], {})
+        assert _matches_the_scan(len(rows[0]), rows), rows
 
 
-def _scanned(dim, rows):
-    lin, rays = scan_double_description(dim, rows)
-    return lin, list(rays.items())
+def _matches_the_scan(dim, rows):
+    lin, rays = _double_description(dim, rows)
+    scan_lin, scan_rays = scan_double_description(dim, rows)
+    return (lin, list(rays.items())) == (scan_lin, list(scan_rays.items()))
 
 
 def _lineality_list(rng, dim):
