@@ -19,7 +19,7 @@ _HOME = {
             membership verify_membership""",
         "counterexample": """TruncatedConstruction TruncationRangeError anchor_membership build_truncation
             inequality_chain lab lab_table separation_cost""",
-        "linprog": "CertificateError ExactLP INFEASIBLE LPResult OPTIMAL UNBOUNDED",
+        "linprog": "CertificateError ExactLP INFEASIBLE LPResult OPTIMAL",
         "measures": """Decomposition DegenerateSpaceError Lottery Measure MixtureRangeError NotLotteryError
             NotZeroSumError OutcomeSpace SpaceMismatchError UnknownOutcomeError Utility decompose
             expectation mix norm""",

@@ -34,7 +34,7 @@ from ._linalg import (
     primitive,
     vec_neg,
 )
-from .linprog import INFEASIBLE, OPTIMAL, CertificateError, ExactLP, LPResult
+from .linprog import OPTIMAL, CertificateError, ExactLP, LPResult
 from .measures import SpaceMismatchError, Utility, as_fraction
 
 IN = "IN"
@@ -198,7 +198,7 @@ def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVect
     lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
     for row, b in zip(zip(*cols), x):
         lp.add(row, "==", b)
-    return lp.feasibility()
+    return lp.minimize()
 
 
 @lru_cache(maxsize=16)
@@ -425,8 +425,6 @@ def membership(cone: PolyhedralCone, x: Sequence | Cleared) -> MembershipCertifi
                 combo.append((nrays + nlins + j, -mu))
         # the LP solved for den * x
         return _certified(cone, x, MembershipCertificate(IN, combination=tuple((j, c / den) for j, c in combo)))
-    if res.status != INFEASIBLE:
-        raise CertificateError(f"hull feasibility LP ended {res.status}")
     return _certified(cone, x, MembershipCertificate(OUT, separator=primitive(vec_neg(res.duals))))
 
 
@@ -450,23 +448,26 @@ def contains(cone: PolyhedralCone, x: Sequence | Cleared) -> bool:
 def verify_membership(cone: PolyhedralCone, x: Sequence | Cleared, cert: MembershipCertificate) -> bool:
     """Recheck a certificate by plain integer arithmetic, no LP involved.
 
-    IN scales the coefficients by their lcm and x by its denominator.
+    IN scales the coefficients by their lcm and x by its denominator.  An
+    index or separator entry that is not an ``int``, or a coefficient that is
+    neither ``int`` nor ``Fraction``, fails the check.
     """
     vec, den = _coerce_vector(x, cone.dim)
     if cert.verdict == IN:
-        if cert.combination is None:
+        combo = cert.combination
+        if combo is None or any(type(i) is not int or type(c) not in (int, Fraction) for i, c in combo):
             return False
         gens = cone.directed_generators
-        coeffs, scale = clear_denominators([c for _, c in cert.combination])
+        coeffs, scale = clear_denominators([c for _, c in combo])
         acc = [0] * cone.dim
-        for (idx, _), c in zip(cert.combination, coeffs):
+        for (idx, _), c in zip(combo, coeffs):
             if not 0 <= idx < len(gens) or c < 0:
                 return False
             acc = [a + c * y for a, y in zip(acc, gens[idx])]
         return all(den * a == scale * v for a, v in zip(acc, vec))
     if cert.verdict == OUT:
         sep = cert.separator
-        if sep is None or len(sep) != cone.dim or is_zero(sep):
+        if sep is None or len(sep) != cone.dim or is_zero(sep) or any(type(s) is not int for s in sep):
             return False
         if any(dot(sep, r) < 0 for r in cone.rays):
             return False

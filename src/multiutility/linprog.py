@@ -1,20 +1,23 @@
-"""Exact linear programming over the rationals.
+"""Exact feasibility of linear systems over the rationals.
 
-Two-phase primal simplex with Bland's pivoting rule, which guarantees
+The engine asks one thing of linear programming: whether rows with senses
+have a solution whose variables are nonnegative, apart from those declared
+free.  :class:`ExactLP` answers by phase 1 of the primal simplex, which
+minimizes the sum of artificial variables: the rows are feasible exactly
+when that minimum is 0.  Bland's pivoting rule (Bland 1977) guarantees
 termination without cycling and makes every run deterministic.  The tableau
 is an integer dictionary: it stores the nonbasic columns only, and every
 row, the objective row included, holds integer numerators over one common
 positive denominator.  Each pivot divides exactly by the previous one
 (Bareiss 1968), so no gcd is taken and Fractions appear only in the returned
 results.  Artificial variables are introduced only for rows whose slack
-cannot seed the initial basis.  When every cost is zero, phase 1 alone gives
-the answer.
+cannot seed the initial basis.
 
-Solutions, objective values and dual multipliers are exact.  For infeasible
-problems the reported multipliers form a Farkas certificate: y is
-sign-compatible per row sense (>= rows nonnegative, <= rows nonpositive,
-== rows free), pairs nonpositively with every nonnegative-variable column and
-to zero with free-variable columns, and satisfies <y, b> > 0.
+A feasible system yields an exact solution.  An infeasible one yields a
+Farkas certificate y: sign-compatible per row sense (>= rows nonnegative,
+<= rows nonpositive, == rows free), pairing nonpositively with every
+nonnegative-variable column and to zero with free-variable columns, and with
+<y, b> > 0.
 """
 from __future__ import annotations
 
@@ -22,12 +25,10 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from ._linalg import clear_denominators
 from .measures import as_fraction
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
-UNBOUNDED = "UNBOUNDED"
 
 _ZERO = Fraction(0)
 
@@ -37,12 +38,12 @@ class CertificateError(RuntimeError):
 
 
 class LPResult(NamedTuple):
-    """Outcome of an exact solve.
+    """Outcome of a phase-1 solve.
 
-    ``duals`` carries one multiplier per constraint in insertion order: the
-    optimal dual solution when status is OPTIMAL, the Farkas certificate when
-    INFEASIBLE, None when UNBOUNDED.  Rows deleted as redundant during the
-    solve report a zero multiplier.
+    OPTIMAL: the rows are feasible; ``solution`` satisfies them, ``objective``
+    is the phase-1 minimum 0, and ``duals`` holds one zero per row.
+    INFEASIBLE: ``objective`` and ``solution`` are None, and ``duals`` is the
+    Farkas certificate, one multiplier per row in insertion order.
     """
 
     status: str
@@ -52,12 +53,16 @@ class LPResult(NamedTuple):
 
 
 class ExactLP:
-    """Incrementally built LP: min c.x subject to rows with senses.
+    """Incrementally built system of rows with senses, solved for feasibility.
 
     Variables are nonnegative unless their index is listed in ``free``.
     """
 
     def __init__(self, num_vars: int, free: Iterable[int] = ()):
+        if type(num_vars) is not int:
+            raise TypeError(f"number of variables must be an int, got {num_vars!r}")
+        if num_vars < 0:
+            raise ValueError(f"number of variables must be nonnegative, got {num_vars}")
         self.num_vars = num_vars
         self.free = frozenset(free)
         bad = [i for i in self.free if not 0 <= i < num_vars]
@@ -74,21 +79,14 @@ class ExactLP:
         *row, b = (c if isinstance(c, int) else as_fraction(c) for c in (*coeffs, rhs))
         self.rows.append((tuple(row), sense, b))
 
-    def feasibility(self) -> LPResult:
-        return self.minimize([0] * self.num_vars)
+    def minimize(self) -> LPResult:
+        """Minimize the sum of the artificial variables: phase 1 of the simplex.
 
-    def maximize(self, costs: Sequence) -> LPResult:
-        res = self.minimize([-as_fraction(c) for c in costs])
-        if res.status == OPTIMAL:
-            # negated so <y, b> equals the maximize objective
-            duals = tuple(-y for y in res.duals)
-            return LPResult(OPTIMAL, -res.objective, res.solution, duals)
-        return res
-
-    def minimize(self, costs: Sequence) -> LPResult:
-        if len(costs) != self.num_vars:
-            raise ValueError(f"expected {self.num_vars} costs, got {len(costs)}")
-        return _Simplex(self, [c if isinstance(c, int) else as_fraction(c) for c in costs]).run()
+        The rows are feasible exactly when the minimum is 0.  The solve is
+        named for what it computes, and perfbench's tracer counts solves by
+        wrapping ``ExactLP.minimize``.
+        """
+        return _Simplex(self).run()
 
 
 class _Simplex:
@@ -106,14 +104,13 @@ class _Simplex:
     exact by Sylvester's identity (Bareiss 1968), and then den to p, after
     negating the pivot row if p < 0; the pivot column becomes the leaving
     variable's.  The true tableau is that of Fractions, so every Bland choice
-    is too.  ``obj`` is den * c - sum(c_B * row) for integer costs c over
-    ``cost_den``; its last entry is minus the objective value times
-    den * cost_den.
+    is too.  ``obj`` holds the reduced costs of the phase-1 objective, the
+    sum of the artificials, times den; its last entry is minus that sum's
+    value times den.
     """
 
-    def __init__(self, lp: ExactLP, costs: list[int | Fraction]):
+    def __init__(self, lp: ExactLP):
         self.lp = lp
-        self.costs = costs
 
         # Variables: one column per nonnegative LP variable, a (+,-) pair per
         # free one, then one slack per inequality row, artificials last.
@@ -146,7 +143,6 @@ class _Simplex:
         # marker[r] = (variable that is +e_r in the standard system, row sign);
         # its final reduced cost recovers the dual multiplier of row r.
         self.marker = list(zip(self.basis, flips))
-        self.row_origin = list(range(len(lp.rows)))
 
         # Each standard row times the product of the rows' clearing
         # denominators, the determinant of the starting basis.
@@ -161,9 +157,10 @@ class _Simplex:
             if col is not None:
                 row[col] = -den
             self.rows.append(row)
-        self.obj: list[int] = []
-
-    # -- tableau primitives -------------------------------------------------
+        # every artificial starts basic, so each reduced cost is minus the
+        # column sum over the artificials' rows
+        charged = [row for b, row in zip(self.basis, self.rows) if b >= self.art_start]
+        self.obj = [-sum(col) for col in zip(*charged)] if charged else [0] * (len(self.cobasis) + 1)
 
     def _pivot(self, row_idx: int, col: int) -> None:
         prow, den = self.rows[row_idx], self.den
@@ -190,16 +187,16 @@ class _Simplex:
         self.basis[row_idx], self.cobasis[col] = self.cobasis[col], self.basis[row_idx]
         self.den = p
 
-    def _bland(self, limit: int) -> str:
-        """Bland's rule over the variables below limit, until optimal or unbounded."""
+    def _bland(self) -> None:
+        """Pivot by Bland's rule until no reduced cost is negative."""
         while True:
             # the nonbasic variable of smallest index with a negative reduced cost
-            obj, first, enter = self.obj, limit, -1
+            obj, first, enter = self.obj, self.nvars, -1
             for j, v in enumerate(self.cobasis):
                 if v < first and obj[j] < 0:
                     first, enter = v, j
             if enter < 0:
-                return OPTIMAL
+                return
             # over one denominator the ratio rhs/a is that of the numerators
             leave = -1
             for i, row in enumerate(self.rows):
@@ -212,82 +209,24 @@ class _Simplex:
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave, best_rhs, best_a = i, row[-1], a
             if leave < 0:
-                return UNBOUNDED
+                raise CertificateError("phase 1 ended unbounded, but it is bounded below by zero")
             self._pivot(leave, enter)
 
-    def _reduced_costs(self, costs: list[int]) -> None:
-        """Set obj for integer costs, one per variable."""
-        charged = []
-        for b, row in zip(self.basis, self.rows):
-            c = costs[b]
-            if c:
-                charged.append(row if c == 1 else [c * x for x in row])
-        sums = [sum(col) for col in zip(*charged)] if charged else [0] * (len(self.cobasis) + 1)
-        self.obj = [self.den * costs[v] - t for v, t in zip(self.cobasis, sums)]
-        self.obj.append(-sums[-1])
-
-    # -- phases ---------------------------------------------------------------
-
     def run(self) -> LPResult:
-        phase1 = [0] * self.art_start + [1] * (self.nvars - self.art_start)
-        self._reduced_costs(phase1)
-        status = self._bland(self.nvars)
-        if status != OPTIMAL:
-            raise CertificateError(f"phase 1 ended {status}, but it is bounded below by zero")
+        self._bland()
         if self.obj[-1] < 0:
-            return LPResult(INFEASIBLE, None, None, self._duals(phase1, 1))
-        if not any(self.costs):
-            # Phase 2 would not pivot, and driving out an artificial pivots on
-            # a row whose right-hand side is 0, so the phase-1 basis answers.
-            return LPResult(OPTIMAL, _ZERO, self._solution(), (_ZERO,) * len(self.lp.rows))
+            return LPResult(INFEASIBLE, None, None, self._duals())
+        return LPResult(OPTIMAL, _ZERO, self._solution(), (_ZERO,) * len(self.lp.rows))
 
-        self._drive_out_artificials()
-
-        nums, cost_den = clear_denominators(self.costs)
-        phase2 = [s * nums[var] for var, s in self.signed_cols] + [0] * (self.nvars - len(self.signed_cols))
-        self._reduced_costs(phase2)
-        if self._bland(self.art_start) == UNBOUNDED:
-            return LPResult(UNBOUNDED, None, None, None)
-        objective = Fraction(-self.obj[-1], self.den * cost_den)
-        return LPResult(OPTIMAL, objective, self._solution(), self._duals(phase2, cost_den))
-
-    def _drive_out_artificials(self) -> None:
-        # A basic artificial sits at value 0 after a feasible phase 1; pivot
-        # it out on any non-artificial column, or delete its row when the row
-        # has become implied by the others.
-        dead: list[int] = []
-        for i in range(len(self.rows)):
-            if self.basis[i] < self.art_start:
-                continue
-            row = self.rows[i]
-            nonzero = (j for j, v in enumerate(self.cobasis) if v < self.art_start and row[j] != 0)
-            col = min(nonzero, key=self.cobasis.__getitem__, default=-1)
-            if col < 0:
-                dead.append(i)
-            else:
-                self._pivot(i, col)
-        for i in reversed(dead):
-            del self.rows[i]
-            del self.basis[i]
-            del self.row_origin[i]
-
-    # -- certificate extraction ----------------------------------------------
-
-    def _duals(self, costs: list[int], cost_den: int) -> tuple[Fraction, ...]:
-        alive = set(self.row_origin)
+    def _duals(self) -> tuple[Fraction, ...]:
         # a basic variable's reduced cost is 0
         reduced = dict(zip(self.cobasis, self.obj))
-        duals: list[Fraction] = []
-        for r in range(len(self.lp.rows)):
-            if r not in alive:
-                duals.append(_ZERO)
-                continue
-            var, sign = self.marker[r]
-            # The marker column is +e_r with cost c in the standard system,
-            # so its reduced cost is c - y_r; undo the row flip afterwards.
-            y_std = Fraction(costs[var] * self.den - reduced.get(var, 0), self.den * cost_den)
-            duals.append(sign * y_std)
-        return tuple(duals)
+        # The marker column is +e_r with phase-1 cost c (1 for an artificial,
+        # 0 for a slack), so its reduced cost is c - y_r; undo the row flip.
+        return tuple(
+            sign * Fraction((var >= self.art_start) * self.den - reduced.get(var, 0), self.den)
+            for var, sign in self.marker
+        )
 
     def _solution(self) -> tuple[Fraction, ...]:
         values = [0] * self.lp.num_vars

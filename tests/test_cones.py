@@ -183,6 +183,17 @@ def test_verify_rejects_doctored_certificates():
     assert not verify_membership(half_plane, (-1, -5), MembershipCertificate(OUT, separator=(1, 1)))
 
 
+def test_verify_rejects_certificates_of_the_wrong_types():
+    # plain integer arithmetic: a float or string entry fails the check instead of raising or passing
+    quadrant = cone_from_generators([(1, 0), (0, 1)])
+    ((idx, coeff),) = membership(quadrant, (1, 0)).combination
+    assert coeff == 1
+    assert verify_membership(quadrant, (-1, 0), MembershipCertificate(OUT, separator=(1, 0)))
+    for combination in (((idx, 1.0),), ((str(idx), 1),), ((bool(idx), 1),)):
+        assert not verify_membership(quadrant, (1, 0), MembershipCertificate(IN, combination=combination)), combination
+    assert not verify_membership(quadrant, (-1, 0), MembershipCertificate(OUT, separator=(1.0, 0.0)))
+
+
 def test_cone_refuses_generators_that_break_its_rows():
     with pytest.raises(ValueError, match=r"^representations disagree: ray \(1, -1\) violates row \(0, 1\)$"):
         PolyhedralCone(2, rays=[(1, -1)], inequalities=[(1, 0), (0, 1)])
@@ -566,7 +577,7 @@ def test_hull_solve_equals_the_lp_solution():
         lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
         for i in range(dim):
             lp.add([c[i] for c in cols], "==", x[i])
-        expected = lp.feasibility()
+        expected = lp.minimize()
         assert _hull_lp(x, gens, lins) == expected, (gens, lins, x)
         if expected.status == OPTIMAL:
             direct[_independent_basis(tuple(cols)) is not None] += 1
@@ -578,9 +589,9 @@ def _spy_on_lp(monkeypatch):
     calls = []
     real = ExactLP.minimize
 
-    def spy(self, costs):
+    def spy(self):
         calls.append(self)
-        return real(self, costs)
+        return real(self)
 
     monkeypatch.setattr(ExactLP, "minimize", spy)
     return calls

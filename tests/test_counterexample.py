@@ -20,6 +20,7 @@ from multiutility.measures import Measure
 from itertools import combinations
 
 from test_cones import _spy_on_lp
+from test_linprog import check_minimize_certificate
 
 
 def test_build_smallest():
@@ -124,22 +125,42 @@ def test_separation_cost_is_certified_without_an_lp(monkeypatch):
     assert calls == []
 
 
-def _separation_cost_primal(n):
-    # the reduced primal solved by simplex: variables w1..wn and M, all free
-    lp = ExactLP(n + 1, free=range(n + 1))
-    for size in range(1, n + 1):
-        for s in combinations(range(n), size):
-            lp.add([int(i in s) for i in range(n)] + [0], ">=", size * size)
-    for i in range(n):
-        lp.add([int(j == i) for j in range(n)] + [-1], "<=", 1)
-    res = lp.minimize([0] * n + [1])
+def _assert_feasible(nvars, rows, free=()):
+    # a feasible point, rechecked row by row
+    lp = ExactLP(nvars, free=free)
+    for row in rows:
+        lp.add(*row)
+    res = lp.minimize()
     assert res.status == OPTIMAL
-    return res.objective
+    check_minimize_certificate(rows, set(free), [0] * nvars, res)
+
+
+def _separation_cost_by_weak_duality(n):
+    """n - 1, pinned as the reduced primal's optimum by two feasibility solves.
+
+    The primal minimizes M over free w_1..w_n and M, subject to
+    sum_{i in S} w_i >= |S|^2 for every nonempty S and w_i - M <= 1.  Its dual
+    maximizes sum_S |S|^2 y_S - sum_i z_i over y, z >= 0 with
+    sum_{S containing i} y_S = z_i and sum_i z_i = 1.  A primal point with
+    M = n - 1 and a dual point of objective at least n - 1 meet by weak
+    duality, so the optimum is exactly n - 1.
+    """
+    subsets = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
+    primal = [([int(i in s) for i in range(n)] + [0], ">=", len(s) ** 2) for s in subsets]
+    primal += [([int(j == i) for j in range(n)] + [-1], "<=", 1) for i in range(n)]
+    primal.append(([0] * n + [1], "==", n - 1))
+    _assert_feasible(n + 1, primal, free=range(n + 1))
+    # dual variables: y_S per subset, then z_i
+    dual = [([int(i in s) for s in subsets] + [-int(j == i) for j in range(n)], "==", 0) for i in range(n)]
+    dual.append(([0] * len(subsets) + [1] * n, "==", 1))
+    dual.append(([len(s) ** 2 for s in subsets] + [-1] * n, ">=", n - 1))
+    _assert_feasible(len(subsets) + n, dual)
+    return n - 1
 
 
 def test_separation_cost_matches_direct_simplex():
     for n in range(1, 7):
-        assert separation_cost(build_truncation(n)) == _separation_cost_primal(n)
+        assert separation_cost(build_truncation(n)) == _separation_cost_by_weak_duality(n)
 
 
 def test_separation_cost_growth_bound():
