@@ -197,7 +197,7 @@ def _hull_lp(x: Sequence, gens: Sequence[IntVector], lineality: Sequence[IntVect
             return LPResult(OPTIMAL, Fraction(0), lam, (Fraction(0),) * dim)
     lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
     for row, b in zip(zip(*cols), x):
-        lp.add(row, "==", b)
+        lp.add(row, b)
     return lp.minimize()
 
 
@@ -448,14 +448,18 @@ def contains(cone: PolyhedralCone, x: Sequence | Cleared) -> bool:
 def verify_membership(cone: PolyhedralCone, x: Sequence | Cleared, cert: MembershipCertificate) -> bool:
     """Recheck a certificate by plain integer arithmetic, no LP involved.
 
-    IN scales the coefficients by their lcm and x by its denominator.  An
-    index or separator entry that is not an ``int``, or a coefficient that is
-    neither ``int`` nor ``Fraction``, fails the check.
+    IN scales the coefficients by their lcm and x by its denominator.  A
+    combination or separator that is not a tuple or list, a pair that is not
+    (index, coefficient), an index or separator entry that is not an ``int``,
+    or a coefficient that is neither ``int`` nor ``Fraction`` fails the check.
     """
     vec, den = _coerce_vector(x, cone.dim)
     if cert.verdict == IN:
         combo = cert.combination
-        if combo is None or any(type(i) is not int or type(c) not in (int, Fraction) for i, c in combo):
+        if not isinstance(combo, (tuple, list)) or not all(
+            isinstance(p, (tuple, list)) and len(p) == 2 and type(p[0]) is int and type(p[1]) in (int, Fraction)
+            for p in combo
+        ):
             return False
         gens = cone.directed_generators
         coeffs, scale = clear_denominators([c for _, c in combo])
@@ -467,9 +471,9 @@ def verify_membership(cone: PolyhedralCone, x: Sequence | Cleared, cert: Members
         return all(den * a == scale * v for a, v in zip(acc, vec))
     if cert.verdict == OUT:
         sep = cert.separator
-        if sep is None or len(sep) != cone.dim or is_zero(sep) or any(type(s) is not int for s in sep):
+        if not isinstance(sep, (tuple, list)) or len(sep) != cone.dim or any(type(s) is not int for s in sep):
             return False
-        if any(dot(sep, r) < 0 for r in cone.rays):
+        if is_zero(sep) or any(dot(sep, r) < 0 for r in cone.rays):
             return False
         if any(dot(sep, l) != 0 for l in cone.lineality):
             return False

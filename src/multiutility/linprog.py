@@ -1,31 +1,25 @@
-"""Exact feasibility of linear systems over the rationals.
+"""Exact feasibility of integer equality systems.
 
-The engine asks one thing of linear programming: whether rows with senses
-have a solution whose variables are nonnegative, apart from those declared
-free.  :class:`ExactLP` answers by phase 1 of the primal simplex, which
-minimizes the sum of artificial variables: the rows are feasible exactly
-when that minimum is 0.  Bland's pivoting rule (Bland 1977) guarantees
-termination without cycling and makes every run deterministic.  The tableau
-is an integer dictionary: it stores the nonbasic columns only, and every
-row, the objective row included, holds integer numerators over one common
-positive denominator.  Each pivot divides exactly by the previous one
-(Bareiss 1968), so no gcd is taken and Fractions appear only in the returned
-results.  Artificial variables are introduced only for rows whose slack
-cannot seed the initial basis.
+The engine asks one thing of linear programming: whether integer rows
+A x == b have a solution whose variables are nonnegative, apart from those
+declared free.  :class:`ExactLP` answers by phase 1 of the primal simplex,
+which minimizes the sum of one artificial variable per row: the rows are
+feasible exactly when that minimum is 0.  Bland's pivoting rule (Bland 1977)
+guarantees termination without cycling and makes every run deterministic.
+The tableau is an integer dictionary: it stores the nonbasic columns only,
+and every row, the objective row included, holds integer numerators over
+one common positive denominator.  Each pivot divides exactly by the previous
+one (Bareiss 1968), so no gcd is taken and Fractions appear only in the
+returned results.
 
 A feasible system yields an exact solution.  An infeasible one yields a
-Farkas certificate y: sign-compatible per row sense (>= rows nonnegative,
-<= rows nonpositive, == rows free), pairing nonpositively with every
-nonnegative-variable column and to zero with free-variable columns, and with
-<y, b> > 0.
+Farkas certificate y, one multiplier of either sign per row, with y.A <= 0
+on every nonnegative column, y.A == 0 on every free column, and y.b > 0.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
 from typing import Iterable, NamedTuple, Sequence
-
-from .measures import as_fraction
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -53,7 +47,7 @@ class LPResult(NamedTuple):
 
 
 class ExactLP:
-    """Incrementally built system of rows with senses, solved for feasibility.
+    """Incrementally built system of integer equality rows, solved for feasibility.
 
     Variables are nonnegative unless their index is listed in ``free``.
     """
@@ -68,16 +62,16 @@ class ExactLP:
         bad = [i for i in self.free if not 0 <= i < num_vars]
         if bad:
             raise ValueError(f"free variable indices out of range: {bad}")
-        self.rows: list[tuple[tuple[int | Fraction, ...], str, int | Fraction]] = []
+        self.rows: list[tuple[tuple[int, ...], int]] = []
 
-    def add(self, coeffs: Sequence, sense: str, rhs) -> None:
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown sense {sense!r}")
+    def add(self, coeffs: Sequence[int], rhs: int) -> None:
+        """Add the row <coeffs, x> == rhs; every entry must be an ``int``, not a bool."""
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        # the tableau clears denominators to ints anyway, so an int needs no Fraction
-        *row, b = (c if isinstance(c, int) else as_fraction(c) for c in (*coeffs, rhs))
-        self.rows.append((tuple(row), sense, b))
+        row = tuple(coeffs)
+        if any(type(v) is not int for v in (*row, rhs)):
+            raise TypeError(f"row {row!r} == {rhs!r} has an entry that is not an int")
+        self.rows.append((row, rhs))
 
     def minimize(self) -> LPResult:
         """Minimize the sum of the artificial variables: phase 1 of the simplex.
@@ -97,10 +91,9 @@ class _Simplex:
     variable ``basis[i]`` in the column of nonbasic variable ``cobasis[j]``,
     the right-hand side last.  Every entry, those of the objective row
     ``obj`` included, is an integer numerator over the one positive
-    denominator ``den``: the determinant, up to sign, of the current basis of
-    the integer system whose row r is standard row r times its clearing
-    denominator.  So ``den`` starts as the product of those denominators, not
-    their lcm.  A pivot on p sets every other row to (p*row - f*prow) // den,
+    denominator ``den``: the determinant, up to sign, of the current basis.
+    The starting basis is the artificials', the identity, so ``den`` starts
+    at 1.  A pivot on p sets every other row to (p*row - f*prow) // den,
     exact by Sylvester's identity (Bareiss 1968), and then den to p, after
     negating the pivot row if p < 0; the pivot column becomes the leaving
     variable's.  The true tableau is that of Fractions, so every Bland choice
@@ -113,54 +106,24 @@ class _Simplex:
         self.lp = lp
 
         # Variables: one column per nonnegative LP variable, a (+,-) pair per
-        # free one, then one slack per inequality row, artificials last.
+        # free one, then one artificial per row, each basic in its own row.
         # signed_cols[j] = (LP variable, sign) of structural column j.
         self.signed_cols = [(i, s) for i in range(lp.num_vars) for s in ((1, -1) if i in lp.free else (1,))]
         nstruct = len(self.signed_cols)
-        self.art_start = nstruct + sum(sense != "==" for _, sense, _ in lp.rows)
-
-        # Standard form A x = b with b >= 0 (rows flipped as needed).  A
-        # slack seeds the basis only if it enters its flipped row with +1;
-        # every other row gets an artificial, and its slack starts nonbasic.
-        flips = [1 if rhs >= 0 else -1 for _, _, rhs in lp.rows]
-        self.basis: list[int] = []
+        self.nvars = nstruct + len(lp.rows)
+        self.basis = list(range(nstruct, self.nvars))
         self.cobasis = list(range(nstruct))
-        # cobasis position of each row's slack, if that slack starts nonbasic
-        slack_col: list[int | None] = []
-        slack, art = nstruct, self.art_start
-        for (_, sense, _), flip in zip(lp.rows, flips):
-            if sense != "==" and (sense == "<=") == (flip == 1):
-                self.basis.append(slack)
-                slack_col.append(None)
-            else:
-                self.basis.append(art)
-                art += 1
-                slack_col.append(len(self.cobasis) if sense != "==" else None)
-                if sense != "==":
-                    self.cobasis.append(slack)
-            slack += sense != "=="
-        self.nvars = art  # of the standard form: structural, slack and artificial
-        # marker[r] = (variable that is +e_r in the standard system, row sign);
-        # its final reduced cost recovers the dual multiplier of row r.
-        self.marker = list(zip(self.basis, flips))
+        self.den = 1
 
-        # Each standard row times the product of the rows' clearing
-        # denominators, the determinant of the starting basis.
-        self.den = den = prod(lcm(rhs.denominator, *(c.denominator for c in coeffs)) for coeffs, _, rhs in lp.rows)
-        padding = [0] * (len(self.cobasis) - nstruct)
-        self.rows: list[list[int]] = []
-        for (coeffs, _, rhs), flip, col in zip(lp.rows, flips, slack_col):
-            k = flip * den
-            nums = [k * c.numerator // c.denominator for c in coeffs]
-            row = [s * nums[var] for var, s in self.signed_cols] + padding
-            row.append(k * rhs.numerator // rhs.denominator)
-            if col is not None:
-                row[col] = -den
-            self.rows.append(row)
-        # every artificial starts basic, so each reduced cost is minus the
-        # column sum over the artificials' rows
-        charged = [row for b, row in zip(self.basis, self.rows) if b >= self.art_start]
-        self.obj = [-sum(col) for col in zip(*charged)] if charged else [0] * (len(self.cobasis) + 1)
+        # Each row flipped to a nonnegative right-hand side, so the
+        # artificials start feasible.
+        self.flips = [1 if rhs >= 0 else -1 for _, rhs in lp.rows]
+        self.rows: list[list[int]] = [
+            [f * s * coeffs[var] for var, s in self.signed_cols] + [f * rhs]
+            for (coeffs, rhs), f in zip(lp.rows, self.flips)
+        ]
+        # every artificial starts basic, so each reduced cost is minus the column sum
+        self.obj = [-sum(col) for col in zip(*self.rows)] if self.rows else [0] * (nstruct + 1)
 
     def _pivot(self, row_idx: int, col: int) -> None:
         prow, den = self.rows[row_idx], self.den
@@ -221,11 +184,11 @@ class _Simplex:
     def _duals(self) -> tuple[Fraction, ...]:
         # a basic variable's reduced cost is 0
         reduced = dict(zip(self.cobasis, self.obj))
-        # The marker column is +e_r with phase-1 cost c (1 for an artificial,
-        # 0 for a slack), so its reduced cost is c - y_r; undo the row flip.
+        # The artificial of row r is +e_r in the flipped system with phase-1
+        # cost 1, so its reduced cost is 1 - y_r; undo the row flip.
+        art = len(self.signed_cols)
         return tuple(
-            sign * Fraction((var >= self.art_start) * self.den - reduced.get(var, 0), self.den)
-            for var, sign in self.marker
+            f * Fraction(self.den - reduced.get(art + r, 0), self.den) for r, f in enumerate(self.flips)
         )
 
     def _solution(self) -> tuple[Fraction, ...]:

@@ -194,6 +194,19 @@ def test_verify_rejects_certificates_of_the_wrong_types():
     assert not verify_membership(quadrant, (-1, 0), MembershipCertificate(OUT, separator=(1.0, 0.0)))
 
 
+def test_verify_rejects_certificates_of_the_wrong_shape():
+    # a malformed certificate fails the recheck instead of raising
+    quadrant = cone_from_generators([(1, 0), (0, 1)])
+    for x, cert in (
+        ((1, 0), MembershipCertificate(IN, combination=((0, 1, 1),))),
+        ((1, 0), MembershipCertificate(IN, combination=((0,),))),
+        ((1, 0), MembershipCertificate(IN, combination=(0,))),
+        ((1, 0), MembershipCertificate(IN, combination=1)),
+        ((-1, 0), MembershipCertificate(OUT, separator=1)),
+    ):
+        assert not verify_membership(quadrant, x, cert), cert
+
+
 def test_cone_refuses_generators_that_break_its_rows():
     with pytest.raises(ValueError, match=r"^representations disagree: ray \(1, -1\) violates row \(0, 1\)$"):
         PolyhedralCone(2, rays=[(1, -1)], inequalities=[(1, 0), (0, 1)])
@@ -576,7 +589,7 @@ def test_hull_solve_equals_the_lp_solution():
             x = tuple(sum(l * c[i] for l, c in zip(lam, cols)) for i in range(dim))
         lp = ExactLP(len(cols), free=range(len(gens), len(cols)))
         for i in range(dim):
-            lp.add([c[i] for c in cols], "==", x[i])
+            lp.add([c[i] for c in cols], x[i])
         expected = lp.minimize()
         assert _hull_lp(x, gens, lins) == expected, (gens, lins, x)
         if expected.status == OPTIMAL:

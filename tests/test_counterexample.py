@@ -15,12 +15,12 @@ from multiutility import (
 from multiutility._linalg import primitive
 from multiutility.cones import OUT
 from multiutility.counterexample import MAX_TRUNCATION
-from multiutility.linprog import OPTIMAL, ExactLP
+from multiutility.linprog import OPTIMAL
 from multiutility.measures import Measure
 from itertools import combinations
 
 from test_cones import _spy_on_lp
-from test_linprog import check_minimize_certificate
+from test_linprog import solve
 
 
 def test_build_smallest():
@@ -125,14 +125,8 @@ def test_separation_cost_is_certified_without_an_lp(monkeypatch):
     assert calls == []
 
 
-def _assert_feasible(nvars, rows, free=()):
-    # a feasible point, rechecked row by row
-    lp = ExactLP(nvars, free=free)
-    for row in rows:
-        lp.add(*row)
-    res = lp.minimize()
-    assert res.status == OPTIMAL
-    check_minimize_certificate(rows, set(free), [0] * nvars, res)
+def _unit(j, size):
+    return [int(t == j) for t in range(size)]
 
 
 def _separation_cost_by_weak_duality(n):
@@ -143,18 +137,24 @@ def _separation_cost_by_weak_duality(n):
     maximizes sum_S |S|^2 y_S - sum_i z_i over y, z >= 0 with
     sum_{S containing i} y_S = z_i and sum_i z_i = 1.  A primal point with
     M = n - 1 and a dual point of objective at least n - 1 meet by weak
-    duality, so the optimum is exactly n - 1.
+    duality, so the optimum is exactly n - 1.  Every inequality is posed as
+    an equality row with a nonnegative slack column of its own.
     """
     subsets = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
-    primal = [([int(i in s) for i in range(n)] + [0], ">=", len(s) ** 2) for s in subsets]
-    primal += [([int(j == i) for j in range(n)] + [-1], "<=", 1) for i in range(n)]
-    primal.append(([0] * n + [1], "==", n - 1))
-    _assert_feasible(n + 1, primal, free=range(n + 1))
-    # dual variables: y_S per subset, then z_i
-    dual = [([int(i in s) for s in subsets] + [-int(j == i) for j in range(n)], "==", 0) for i in range(n)]
-    dual.append(([0] * len(subsets) + [1] * n, "==", 1))
-    dual.append(([len(s) ** 2 for s in subsets] + [-1] * n, ">=", n - 1))
-    _assert_feasible(len(subsets) + n, dual)
+    # primal columns: w_1..w_n and M (free), then a slack per subset row and per w_i - M row
+    slacks = len(subsets) + n
+    primal = [
+        ([int(i in s) for i in range(n)] + [0] + [-u for u in _unit(j, slacks)], len(s) ** 2)
+        for j, s in enumerate(subsets)
+    ]
+    primal += [(_unit(i, n) + [-1] + _unit(len(subsets) + i, slacks), 1) for i in range(n)]
+    primal.append(([0] * n + [1] + [0] * slacks, n - 1))
+    assert solve(n + 1 + slacks, primal, free=range(n + 1)).status == OPTIMAL
+    # dual columns: y_S per subset, then z_i, then the objective row's slack
+    dual = [([int(i in s) for s in subsets] + [-u for u in _unit(i, n)] + [0], 0) for i in range(n)]
+    dual.append(([0] * len(subsets) + [1] * n + [0], 1))
+    dual.append(([len(s) ** 2 for s in subsets] + [-1] * n + [-1], n - 1))
+    assert solve(len(subsets) + n + 1, dual).status == OPTIMAL
     return n - 1
 
 

@@ -115,3 +115,22 @@ def test_only_cones_imports_linprog():
         and "linprog" in imported_modules((ROOT / path).read_text(encoding="utf-8"))
     ]
     assert importers == ["src/multiutility/cones.py"]
+
+
+def package_imports(source: str) -> list[str]:
+    """Every import statement that loads from multiutility, relative imports included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "multiutility"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import) and any(a.name.split(".")[0] == "multiutility" for a in node.names):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_linprog_imports_nothing_from_the_package():
+    # the simplex takes int rows as they are, so it needs no converter of the package
+    for source in ("from .measures import as_fraction", "from . import cones", "import multiutility._linalg"):
+        assert package_imports(source) == [source]
+    assert package_imports("from fractions import Fraction\nimport math") == []
+    assert package_imports((ROOT / "src/multiutility/linprog.py").read_text(encoding="utf-8")) == []

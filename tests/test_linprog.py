@@ -9,154 +9,100 @@ from multiutility.linprog import INFEASIBLE, OPTIMAL, ExactLP
 from oracles import _rank
 
 
-def check_minimize_certificate(rows, free, costs, res):
-    # primal feasibility, dual sign compatibility, dual feasibility,
-    # and strong duality together certify optimality exactly
-    x, y = res.solution, res.duals
-    for (coeffs, sense, rhs), mult in zip(rows, y):
-        lhs = sum(c * v for c, v in zip(coeffs, x))
-        assert (lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs)
-        if sense == ">=":
-            assert mult >= 0
-        elif sense == "<=":
-            assert mult <= 0
-    for j, cost in enumerate(costs):
-        col = sum(y_i * coeffs[j] for y_i, (coeffs, _, _) in zip(y, rows))
-        if j in free:
-            assert col == cost
-        else:
-            assert col <= cost
-            assert x[j] >= 0
-    assert sum(y_i * rhs for y_i, (_, _, rhs) in zip(y, rows)) == res.objective
-    assert sum(c * v for c, v in zip(costs, x)) == res.objective
+def check_solution(rows, free, res):
+    # a feasible point of the rows, rechecked exactly, with the phase-1
+    # minimum 0 and one zero multiplier per row
+    assert res.objective == 0
+    assert res.duals == (0,) * len(rows)
+    x = res.solution
+    for coeffs, rhs in rows:
+        assert sum(c * v for c, v in zip(coeffs, x)) == rhs
+    assert all(v >= 0 for j, v in enumerate(x) if j not in free)
 
 
 def check_farkas(rows, free, y):
-    # infeasibility certificate: sign-compatible y with y.A <= 0 on
-    # nonnegative columns, y.A == 0 on free columns, and y.b > 0
-    for (_, sense, _), mult in zip(rows, y):
-        if sense == ">=":
-            assert mult >= 0
-        elif sense == "<=":
-            assert mult <= 0
-    nvars = len(rows[0][0])
-    for j in range(nvars):
-        col = sum(y_i * coeffs[j] for y_i, (coeffs, _, _) in zip(y, rows))
+    # infeasibility certificate: y.A <= 0 on nonnegative columns, y.A == 0
+    # on free columns, and y.b > 0; equality rows leave each sign of y free
+    for j in range(len(rows[0][0])):
+        col = sum(y_i * coeffs[j] for y_i, (coeffs, _) in zip(y, rows))
         if j in free:
             assert col == 0
         else:
             assert col <= 0
-    assert sum(y_i * rhs for y_i, (_, _, rhs) in zip(y, rows)) > 0
+    assert sum(y_i * rhs for y_i, (_, rhs) in zip(y, rows)) > 0
+
+
+def solve(nvars, rows, free=()):
+    lp = ExactLP(nvars, free=free)
+    for coeffs, rhs in rows:
+        lp.add(coeffs, rhs)
+    res = lp.minimize()
+    if res.status == OPTIMAL:
+        check_solution(rows, set(free), res)
+    else:
+        check_farkas(rows, set(free), res.duals)
+    return res
 
 
 def test_minimize_known_optimum():
-    # phase 1 reaches its minimum 0 at a vertex of the rows, with zero duals
-    rows = [([1, 1], ">=", 4), ([1, 0], "<=", 3)]
-    lp = ExactLP(2)
-    for coeffs, sense, rhs in rows:
-        lp.add(coeffs, sense, rhs)
-    res = lp.minimize()
-    assert res == (OPTIMAL, 0, (3, 1), (0, 0))
-    check_minimize_certificate(rows, set(), [0, 0], res)
-
-
-def test_fractional_data():
-    lp = ExactLP(1)
-    lp.add(["2/3"], "<=", "1/7")
-    lp.add(["2/3"], ">=", "1/7")
-    res = lp.minimize()
-    assert res.status == OPTIMAL
-    assert res.solution == (Fraction(3, 14),)
+    # x + y >= 4 and x <= 3 with a slack column each: phase 1 reaches its
+    # minimum 0 at a vertex of the rows, with zero duals
+    rows = [([1, 1, -1, 0], 4), ([1, 0, 0, 1], 3)]
+    assert solve(4, rows) == (OPTIMAL, 0, (3, 1, 0, 0), (0, 0))
 
 
 def test_equality_system_with_free_variables():
-    lp = ExactLP(2, free=(0, 1))
-    lp.add([1, 1], "==", 5)
-    lp.add([1, -1], "==", 1)
-    res = lp.minimize()
-    assert res.status == OPTIMAL
-    assert res.solution == (3, 2)
+    assert solve(2, [([1, 1], 5), ([1, -1], 1)], free=(0, 1)).solution == (3, 2)
 
 
 def test_infeasible_farkas():
-    rows = [([Fraction(1)], "<=", Fraction(-1))]
-    lp = ExactLP(1)
-    lp.add([1], "<=", -1)
-    res = lp.minimize()
-    assert res.status == INFEASIBLE
-    check_farkas(rows, set(), res.duals)
+    # x + s == -1 has no nonnegative solution
+    assert solve(2, [([1, 1], -1)]).status == INFEASIBLE
 
 
 def test_infeasible_between_rows():
-    rows = [
-        ([Fraction(1), Fraction(1)], ">=", Fraction(3)),
-        ([Fraction(1), Fraction(1)], "<=", Fraction(2)),
-    ]
-    lp = ExactLP(2)
-    for coeffs, sense, rhs in rows:
-        lp.add(coeffs, sense, rhs)
-    res = lp.minimize()
-    assert res.status == INFEASIBLE
-    check_farkas(rows, set(), res.duals)
+    assert solve(2, [([1, 1], 3), ([1, 1], 2)], free=(0, 1)).status == INFEASIBLE
 
 
 def test_degenerate_pivoting_terminates():
     # Beale's cycling example for naive pivoting, with its objective bound as
-    # a row: two of its rows have a zero right-hand side, so phase 1 is
-    # degenerate, and Bland's rule must terminate.  The optimum -1/20 is
-    # reached, and nothing better is.
-    costs = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
-    for bound, status in ((Fraction(-1, 20), OPTIMAL), (Fraction(-1, 20) - Fraction(1, 1000), INFEASIBLE)):
+    # a row, cleared to integers with a slack column per row: two of its
+    # rows have a zero right-hand side, so phase 1 is degenerate, and Bland's
+    # rule must terminate.  The optimum -1/20 is reached, and nothing better
+    # is.  The cost row is scaled by 1000, so the bounds read -50 and -51.
+    costs = [-750, 150000, -20, 6000]
+    for bound, status in ((-50, OPTIMAL), (-51, INFEASIBLE)):
         rows = [
-            ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
-            ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
-            (costs, "<=", bound),
+            ([25, -6000, -4, 900, 1, 0, 0, 0], 0),
+            ([50, -9000, -2, 300, 0, 1, 0, 0], 0),
+            ([0, 0, 1, 0, 0, 0, 1, 0], 1),
+            (costs + [0, 0, 0, 1], bound),
         ]
-        lp = ExactLP(4)
-        for coeffs, sense, rhs in rows:
-            lp.add(coeffs, sense, rhs)
-        res = lp.minimize()
+        res = solve(8, rows)
         assert res.status == status
         if status == OPTIMAL:
-            check_minimize_certificate(rows, set(), [0] * 4, res)
+            assert res.solution[:4] == (Fraction(1, 25), 0, 1, 0)
             assert sum(c * v for c, v in zip(costs, res.solution)) == bound
-        else:
-            check_farkas(rows, set(), res.duals)
-
-
-def test_divisor_starts_at_the_product_of_the_row_denominators():
-    # the rows clear by 2 and by 4; an integer tableau over their lcm 4, not
-    # the starting basis's determinant 8, truncates and reports INFEASIBLE
-    rows = [([0, Fraction(5, 2)], "==", 4), ([1, -4], ">=", Fraction(-5, 4))]
-    lp = ExactLP(2)
-    for coeffs, sense, rhs in rows:
-        lp.add(coeffs, sense, rhs)
-    res = lp.minimize()
-    assert res == (OPTIMAL, 0, (Fraction(103, 20), Fraction(8, 5)), (0, 0))
-    check_minimize_certificate(rows, set(), [0, 0], res)
 
 
 def test_redundant_equality_rows():
     # the second row is twice the first, so an artificial stays basic at 0
-    lp = ExactLP(2)
-    lp.add([1, 1], "==", 2)
-    lp.add([2, 2], "==", 4)
-    assert lp.minimize() == (OPTIMAL, 0, (2, 0), (0, 0))
+    assert solve(2, [([1, 1], 2), ([2, 2], 4)]) == (OPTIMAL, 0, (2, 0), (0, 0))
 
 
 def test_input_validation():
     lp = ExactLP(2)
     with pytest.raises(ValueError):
-        lp.add([1], "<=", 0)
+        lp.add([1], 0)
     with pytest.raises(ValueError):
-        lp.add([1, 2], "<", 0)
+        lp.add([1, 2, 3], 0)
     with pytest.raises(ValueError):
         ExactLP(2, free=(5,))
-    with pytest.raises(TypeError):
-        lp.add([0.5, 1], "<=", 0)
-    with pytest.raises(TypeError):
-        lp.add([1, 1], "<=", 0.5)
+    # only ints: an integral Fraction, a float or a bool is refused, not converted
+    for coeffs, rhs in (([Fraction(1), 1], 0), ([1, 1], Fraction(2)), ([0.5, 1], 0), ([1, 1], 0.5), ([True, 1], 0), ([1, 1], False)):
+        with pytest.raises(TypeError):
+            lp.add(coeffs, rhs)
+    assert lp.rows == []
 
 
 def test_number_of_variables_is_a_nonnegative_int():
@@ -167,7 +113,7 @@ def test_number_of_variables_is_a_nonnegative_int():
         ExactLP(-1)
     lp = ExactLP(0)
     assert lp.minimize() == (OPTIMAL, 0, (), ())
-    lp.add([], "<=", -1)
+    lp.add([], -1)
     assert lp.minimize() == (INFEASIBLE, None, None, (-1,))
 
 
@@ -177,26 +123,10 @@ def test_random_lps_certified():
     for _ in range(120):
         nvars = rng.randint(1, 3)
         free = {j for j in range(nvars) if rng.random() < 0.3}
-        rows = []
-        lp = ExactLP(nvars, free=free)
-        for _ in range(rng.randint(1, 4)):
-            coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(nvars)]
-            sense = rng.choice(["<=", ">=", "=="])
-            rhs = Fraction(rng.randint(-4, 4))
-            rows.append((coeffs, sense, rhs))
-            lp.add(coeffs, sense, rhs)
-        res = lp.minimize()
-        statuses[res.status] += 1
-        if res.status == OPTIMAL:
-            check_minimize_certificate(rows, free, [0] * nvars, res)
-        else:
-            check_farkas(rows, free, res.duals)
+        rows = [([rng.randint(-4, 4) for _ in range(nvars)], rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
+        statuses[solve(nvars, rows, free).status] += 1
     # the sample is varied enough to hit both outcomes
     assert all(count > 0 for count in statuses.values())
-
-
-def _pinned_frac(rng):
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
 
 def _pinned_lps():
@@ -209,47 +139,31 @@ def _pinned_lps():
             kind = rng.random()
             if rows and kind < 0.2:
                 # a positive multiple of an earlier row: redundant
-                coeffs, sense, rhs = rng.choice(rows)
-                k = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-                rows.append(([k * c for c in coeffs], sense, k * rhs))
+                coeffs, rhs = rng.choice(rows)
+                k = rng.randint(1, 6)
+                rows.append(([k * c for c in coeffs], k * rhs))
                 continue
             if free and kind < 0.35:
-                # an equality on the free variables only
-                coeffs = [_pinned_frac(rng) if j in free else Fraction(0) for j in range(nvars)]
-                sense = "=="
+                # a row on the free variables only
+                coeffs = [rng.randint(-6, 6) if j in free else 0 for j in range(nvars)]
             else:
-                coeffs = [_pinned_frac(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(nvars)]
-                sense = rng.choice(["<=", ">=", "=="])
+                coeffs = [rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(nvars)]
             # zero right-hand sides make degenerate ratio-test ties
-            rhs = Fraction(0) if rng.random() < 0.3 else _pinned_frac(rng)
-            rows.append((coeffs, sense, rhs))
-        # the costs these LPs were first drawn with, still drawn so that the same 300 LPs follow
-        for j in range(nvars):
-            if j not in free or rng.random() >= 0.7:
-                rng.random()
-                _pinned_frac(rng)
+            rhs = 0 if rng.random() < 0.3 else rng.randint(-6, 6)
+            rows.append((coeffs, rhs))
         yield nvars, free, rows
 
 
 def test_pinned_pivot_path():
     # Bland's rule fixes the whole pivot path, so the point and the
     # certificate the solver returns are pinned, not only their validity.
-    # The digest was recorded from the two-phase solver's feasibility solve;
-    # any kernel that pivots differently changes it.
-    results = []
-    for nvars, free, rows in _pinned_lps():
-        lp = ExactLP(nvars, free=free)
-        for coeffs, sense, rhs in rows:
-            lp.add(coeffs, sense, rhs)
-        res = lp.minimize()
-        if res.status == OPTIMAL:
-            check_minimize_certificate(rows, free, [0] * nvars, res)
-        else:
-            check_farkas(rows, free, res.duals)
-        results.append(tuple(res))
-    assert Counter(r[0] for r in results) == {OPTIMAL: 202, INFEASIBLE: 98}
+    # The digest was recorded from the kernel that still took rows with
+    # senses and rational entries; any kernel that pivots differently
+    # changes it.
+    results = [tuple(solve(nvars, rows, free)) for nvars, free, rows in _pinned_lps()]
+    assert Counter(r[0] for r in results) == {OPTIMAL: 140, INFEASIBLE: 160}
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "d78eeab70ac937cd2c44950208948874bfa9ae8a0a6198c1d3bd16032cfe9590"
+    assert digest == "d1d9cb26c9482765e162e65c22d8345f93d23eb5e1c75ada43f7654b117488de"
 
 
 def _hull_shaped_lps():
@@ -272,7 +186,7 @@ def _hull_shaped_lps():
         else:
             lam = [rng.randint(-kind, 3) for _ in gens]
             rhs = [sum(w * g[i] for w, g in zip(lam, gens)) for i in range(k)]
-        yield kind, [([g[i] for g in gens], "==", rhs[i]) for i in range(k)]
+        yield kind, [([g[i] for g in gens], rhs[i]) for i in range(k)]
 
 
 def test_pinned_hull_shaped_path():
@@ -282,11 +196,11 @@ def test_pinned_hull_shaped_path():
     kinds = Counter()
     for kind, rows in _hull_shaped_lps():
         lp = ExactLP(len(rows))
-        for coeffs, sense, rhs in rows:
-            lp.add(coeffs, sense, rhs)
+        for coeffs, rhs in rows:
+            lp.add(coeffs, rhs)
         res = lp.minimize()
         if res.status == OPTIMAL:
-            check_minimize_certificate(rows, set(), [0] * len(rows), res)
+            check_solution(rows, set(), res)
         else:
             check_farkas(rows, set(), res.duals)
         kinds[kind, res.status] += 1
