@@ -35,7 +35,7 @@ for p, q in dataset.statements:
 
 rep = extract_representation(dataset, pin="nothing")
 print(f"\nextracted utilities ({len(rep.utilities)} of them, pin pays zero):")
-for u in rep.utilities:
+for u in (Utility(rep.space, v) for v in rep.utilities):
     values = {z: str(u.value(z)) for z in space.outcomes}
     print(f"  {values}  increasing: {check_increasing(u, ranking)}")
 

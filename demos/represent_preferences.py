@@ -11,6 +11,7 @@ from multiutility import (
     Lottery,
     OutcomeSpace,
     PreferenceDataset,
+    Utility,
     expectation,
     extract_representation,
     mix,
@@ -35,8 +36,10 @@ for p, q in dataset.statements:
     print(f"  {p.support()} over {q.support()}")
 
 rep = extract_representation(dataset, pin="cherry")
+# each utility is a primitive integer vector; Utility wraps one for expectation
+utilities = [Utility(rep.space, v) for v in rep.utilities]
 print(f"\nextracted utilities (pin: {rep.pin} pays zero):")
-for u in rep.utilities:
+for u in utilities:
     print(" ", {z: str(u.value(z)) for z in space.outcomes})
 
 # entailment by transitivity: apple over cherry was never stated, yet every
@@ -52,7 +55,7 @@ print(f"  conic certificate (generator index, weight): {witness}")
 half_half = mix("1/2", e["apple"], e["cherry"])
 verdict = query(rep, half_half, e["banana"])
 print(f"query (apple+cherry)/2 vs banana: {verdict.classification}")
-for u in rep.utilities:
+for u in utilities:
     lhs = expectation(half_half, u)
     rhs = expectation(e["banana"], u)
     print(f"  utility {tuple(str(v) for v in u.values)}: {lhs} vs {rhs}")

@@ -32,7 +32,7 @@ from .jsonio import (
     utility_to_json,
     verdict_to_json,
 )
-from .measures import decompose
+from .measures import Utility, decompose
 from .preferences import (
     PreferenceDataset,
     _agree_cleared,
@@ -106,16 +106,17 @@ def _dataset_and_pin(args, raw) -> tuple[PreferenceDataset, str, object]:
 def _verify_representation(rep, dataset: PreferenceDataset) -> None:
     if not rep.utilities:
         raise VerificationError("representation has no utilities")
+    pin = rep.space.position(rep.pin)
     for u in rep.utilities:
-        if u.value(rep.pin) != 0:
-            raise VerificationError(f"utility {u!r} not pinned to zero at {rep.pin!r}")
+        if u[pin] != 0:
+            raise VerificationError(f"utility {Utility(rep.space, u)!r} not pinned to zero at {rep.pin!r}")
     # E_p[u] >= E_q[u] iff <p - q, u> >= 0, a sign that positive scaling keeps
     for p, q in dataset.statements:
         diff, _ = clear_denominators((p - q).dense())
-        for u, vals in zip(rep.utilities, rep.cleared_utilities):
-            if dot(diff, vals) < 0:
+        for u in rep.utilities:
+            if dot(diff, u) < 0:
                 raise VerificationError(
-                    f"statement {p!r} over {q!r} violated by extracted utility {u!r}"
+                    f"statement {p!r} over {q!r} violated by extracted utility {Utility(rep.space, u)!r}"
                 )
 
 
@@ -184,7 +185,7 @@ def _run(args) -> str:
             _verify_representation(rep, extended)
         violations = []
         for u in rep.utilities:
-            pair = first_violation(u, ranking)
+            pair = first_violation(Utility(rep.space, u), ranking)
             if pair is not None:
                 violations.append({"utility": utility_to_json(u), "pair": list(pair)})
         return dump_json({"all_increasing": not violations, "violations": violations})

@@ -55,7 +55,7 @@ def build_truncation(n: int) -> TruncatedConstruction:
     Outcomes are ordered a, b1..bn, h(a), h(b1)..h(bn); subsets are
     enumerated in increasing size, ties in index order.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_TRUNCATION:
+    if type(n) is not int or not 1 <= n <= MAX_TRUNCATION:
         raise TruncationRangeError(f"truncation size must be an integer in 1..{MAX_TRUNCATION}, got {n!r}")
     labels = ["a"] + [f"b{i}" for i in range(1, n + 1)]
     space = OutcomeSpace(labels + [f"h({z})" for z in labels])
@@ -146,7 +146,7 @@ def lab(n_max: int):
     counterexample verb streams it and rechecks each certificate against
     its own construction; lab_table is its list of rows.
     """
-    if not isinstance(n_max, int) or not 1 <= n_max <= MAX_TRUNCATION:
+    if type(n_max) is not int or not 1 <= n_max <= MAX_TRUNCATION:
         raise TruncationRangeError(f"truncation size must be an integer in 1..{MAX_TRUNCATION}, got {n_max!r}")
     for n in range(1, n_max + 1):
         trunc = build_truncation(n)

@@ -178,8 +178,12 @@ def parse_utility(obj: Any, space: OutcomeSpace, path: str) -> Utility:
     return Utility(space, [parse_rational(v, f"{path}[{i}]") for i, v in enumerate(values)])
 
 
-def utility_to_json(u: Utility) -> list[str]:
-    return [rational_to_str(v) for v in u.values]
+def utility_to_json(u: tuple[int, ...]) -> list[str]:
+    """An extracted utility's integer entries as strings, in outcome order."""
+    try:
+        return [str(v) for v in u]
+    except ValueError:
+        raise digit_limit_error(_widest_digits(u)) from None
 
 
 # -- datasets -------------------------------------------------------------------

@@ -77,11 +77,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string like ``"3/4"`` to an exact Fraction.
 
     Floats are rejected: silent binary rounding has no place in an exact
-    engine.  Any string but ``-?[0-9]+(/[0-9]+)?`` in ASCII with a nonzero
-    denominator raises ValueError, as does a part past Python's digit limit.
+    engine, and so are booleans, ints only by subclassing.  Any string but
+    ``-?[0-9]+(/[0-9]+)?`` in ASCII with a nonzero denominator raises
+    ValueError, as does a part past Python's digit limit.
     """
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}; pass int, Fraction, or 'num/den' string")
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"refusing {type(value).__name__} {value!r}; pass int, Fraction, or 'num/den' string")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -10,10 +10,9 @@ verdict can be rechecked by plain arithmetic.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from ._linalg import Cleared, clear_denominators, dot, is_zero, primitive
+from ._linalg import Cleared, IntVector, clear_denominators, dot, is_zero, primitive
 from .cones import (
     DimensionMismatchError,
     MembershipCertificate,
@@ -84,33 +83,27 @@ class MonotoneStructure(_Ranking):
     _make = classmethod(_validated)
 
 
-class _Extracted(NamedTuple):
+class Representation(NamedTuple):
+    """Multi-utility representation extracted from a dataset.
+
+    ``utilities`` is never empty.  Each one is a utility's canonical member
+    up to positive affine maps: a primitive integer vector aligned with
+    ``space`` that pays zero at ``pin``; ``Utility(rep.space, u)`` wraps one
+    for the functions that take a ``Utility``.  ``dual`` is the utility cone
+    {u : E_p[u] >= E_q[u] for every statement} in the ambient coordinate
+    space, built by one double description pass with the difference vectors
+    p - q as its rows; its lineality always contains the constant direction.
+    ``cone``, the data cone those differences span, is read off it by
+    ``dual_cone``: canonical, with ``dual.directed_generators`` as its
+    inequality rows, so membership answers OUT with the first row the
+    queried vector violates.
+    """
+
     space: OutcomeSpace
-    utilities: tuple[Utility, ...]
+    utilities: tuple[IntVector, ...]
     cone: PolyhedralCone
     dual: PolyhedralCone
     pin: str
-
-
-class Representation(_Extracted):
-    """Multi-utility representation extracted from a dataset.
-
-    ``utilities`` is never empty; each one is pinned to payoff zero at
-    ``pin``.  ``dual`` is the utility cone {u : E_p[u] >= E_q[u] for every
-    statement} in the ambient coordinate space, built by one double
-    description pass with the difference vectors p - q as its rows; its
-    lineality always contains the constant direction.  ``cone``, the data
-    cone those differences span, is read off it by ``dual_cone``: canonical,
-    with ``dual.directed_generators`` as its inequality rows, so membership
-    answers OUT with the first row the queried vector violates.  Instances
-    have no ``__slots__``, so ``cleared_utilities`` caches in a per-instance
-    dict that ``_replace`` starts afresh.
-    """
-
-    @cached_property
-    def cleared_utilities(self) -> tuple[tuple[int, ...], ...]:
-        """Each utility's integer numerators, cleared once per instance."""
-        return tuple(clear_denominators(u.values).nums for u in self.utilities)
 
 
 class QueryVerdict(NamedTuple):
@@ -129,15 +122,15 @@ def extract_representation(dataset: PreferenceDataset, pin: str) -> Representati
     utility cone's rays, and both directions of its lineality, are shifted
     so the pinned outcome pays zero, rescaled to primitive integers,
     deduplicated and sorted; the constant direction shifts to zero and
-    drops out.  When nothing survives (the data identify all lotteries), the
-    zero utility alone is returned so the set is never empty.
+    drops out.  These integer vectors are the utilities, with no ``Utility``
+    built.  When nothing survives (the data identify all lotteries), the
+    zero vector alone is returned so the set is never empty.
     """
     space = dataset.space
     pin_index = space.position(pin)
     dual = cone_from_inequalities([(p - q).dense() for p, q in dataset.statements], len(space))
     shifted = {primitive(tuple(x - v[pin_index] for x in v)) for v in dual.directed_generators}
-    vectors = sorted(v for v in shifted if not is_zero(v)) or [(0,) * len(space)]
-    utilities = tuple(Utility(space, v) for v in vectors)
+    utilities = tuple(sorted(v for v in shifted if not is_zero(v))) or ((0,) * len(space),)
     return Representation(space, utilities, dual_cone(dual), dual, pin)
 
 
@@ -225,5 +218,5 @@ def utilities_agree(rep: Representation, p: Lottery, q: Lottery) -> str:
 
 
 def _agree_cleared(rep: Representation, diff: Cleared) -> str:
-    gaps = [dot(diff.nums, u) for u in rep.cleared_utilities]
+    gaps = [dot(diff.nums, u) for u in rep.utilities]
     return _classify(all(g >= 0 for g in gaps), all(g <= 0 for g in gaps))

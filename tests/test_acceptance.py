@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from multiutility import (
     ENTAILED_ONLY,
@@ -18,6 +19,7 @@ from multiutility import (
     MonotoneStructure,
     OutcomeSpace,
     PreferenceDataset,
+    Utility,
     anchor_membership,
     build_truncation,
     canonical_rep,
@@ -36,6 +38,7 @@ from multiutility import (
     verify_membership,
 )
 from multiutility.cones import IN, OUT
+from multiutility.jsonio import representation_to_json
 from multiutility.linprog import ExactLP
 from multiutility.preferences import utilities_agree
 
@@ -68,10 +71,25 @@ def random_dataset(rng):
     return PreferenceDataset(space, statements)
 
 
-def test_dual_ray_counts_of_moderate_datasets():
-    # the datasets whose duals take real DD work
+def test_dual_ray_counts_of_moderate_datasets(monkeypatch):
+    # the datasets whose duals take real DD work; extraction, the utility-by-utility check and
+    # the output read the integer vectors as they are, with no Utility built
+    def no_utility(self, *args):
+        raise AssertionError("a Utility was built")
+
+    monkeypatch.setattr(Utility, "__init__", no_utility)
+    rng = random.Random(83)
     for (n, m), count in {(10, 20): 346, (14, 20): 91}.items():
-        assert len(extract_representation(moderate_dataset(n, m), "z0").dual.rays) == count
+        dataset = moderate_dataset(n, m)
+        rep = extract_representation(dataset, "z0")
+        assert len(rep.dual.rays) == count
+        assert type(rep.utilities) is tuple and list(rep.utilities) == sorted(set(rep.utilities))
+        for u in rep.utilities:
+            assert type(u) is tuple and len(u) == n and all(type(x) is int for x in u), u
+            assert u[0] == 0 and gcd(*u) == 1, u
+        for p, q, _ in query_pairs(rng, dataset, 4):
+            assert utilities_agree(rep, p, q) == query(rep, p, q).classification
+        assert representation_to_json(rep)["utilities"] == [[str(x) for x in u] for u in rep.utilities]
 
 
 def test_cones_and_representations_are_built_without_an_lp(monkeypatch):
@@ -85,7 +103,7 @@ def test_cones_and_representations_are_built_without_an_lp(monkeypatch):
     rep = extract_representation(dataset, "z0")
     assert rep.cone == hull
     # twenty of the 346 utilities keep the test fast
-    assert len(canonical_rep(rep.utilities[:20]).rays) == 20
+    assert len(canonical_rep([Utility(rep.space, u) for u in rep.utilities[:20]]).rays) == 20
 
 
 def test_criterion_1_bipolar_and_duality_biconditional():
@@ -198,7 +216,7 @@ def test_criterion_4_uniqueness_across_pins():
             random_lottery(rng, dataset.space)
         first = extract_representation(dataset, pin=dataset.space.outcomes[0])
         second = extract_representation(dataset, pin=dataset.space.outcomes[-1])
-        if not check_uniqueness(first.utilities, second.utilities):
+        if not check_uniqueness(*([Utility(r.space, u) for u in r.utilities] for r in (first, second))):
             failures.append(f"pins disagree at trial {trial}")
     report(4, "extraction under two pins is canonically equal on 100 datasets", failures)
 
@@ -241,8 +259,8 @@ def test_criterion_6_monotone_utilities_increase():
         dataset = monotone_extend(PreferenceDataset(space, statements), ranking)
         rep = extract_representation(dataset, pin=space.outcomes[0])
         for u in rep.utilities:
-            if not check_increasing(u, ranking):
-                failures.append(f"trial {trial}: utility {u.values} not increasing")
+            if not check_increasing(Utility(space, u), ranking):
+                failures.append(f"trial {trial}: utility {u} not increasing")
     report(6, "every extracted utility is increasing on 50 ranked datasets", failures)
 
 

@@ -10,7 +10,7 @@ from types import ModuleType
 import pytest
 
 import multiutility
-from multiutility import Measure, Utility, _linalg, cli, cones, counterexample, preferences
+from multiutility import Measure, _linalg, cli, cones, counterexample, preferences
 from multiutility.cli import main
 from test_measures import REJECTED_RATIONALS
 
@@ -534,21 +534,21 @@ def test_represent_verify_checks_every_statement_exactly(tmp_path, monkeypatch):
     extract = cli.extract_representation
 
     def with_utility(values):
-        return lambda dataset, pin: extract(dataset, pin)._replace(utilities=(Utility(dataset.space, values),))
+        return lambda dataset, pin: extract(dataset, pin)._replace(utilities=(values,))
 
     data = write(tmp_path, "chain.json", CHAIN)
     # a over b holds with equality, b over c strictly
-    monkeypatch.setattr(cli, "extract_representation", with_utility(["1/3", "1/3", 0]))
+    monkeypatch.setattr(cli, "extract_representation", with_utility((1, 1, 0)))
     assert run_cli("represent", "--input", data, "--pin", "c", "--verify")[0] == 0
-    # a over b fails by 1/6
-    monkeypatch.setattr(cli, "extract_representation", with_utility(["1/3", "1/2", 0]))
+    # a over b fails by 1
+    monkeypatch.setattr(cli, "extract_representation", with_utility((2, 3, 0)))
     code, out, err = run_cli("represent", "--input", data, "--pin", "c", "--verify")
     assert code == 1 and out == ""
     body = json.loads(err)["error"]
     assert body["kind"] == "verify"
     assert body["message"] == (
         "statement Lottery({'a': '1'}) over Lottery({'b': '1'}) "
-        "violated by extracted utility Utility(['1/3', '1/2', '0'])"
+        "violated by extracted utility Utility(['2', '3', '0'])"
     )
 
 
@@ -558,7 +558,7 @@ def test_package_exports_no_submodules():
 
 
 def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, monkeypatch):
-    # operation counts, not times: one p - q and one clearing per pair, one clearing per utility
+    # operation counts, not times: one p - q and one clearing per pair; the utilities are integers already
     dataset = {
         "outcomes": ["a", "b", "c", "d"],
         "prefers": [
@@ -617,9 +617,8 @@ def test_classify_batch_verify_subtracts_and_clears_each_vector_once(tmp_path, m
     (rep,) = reps
     assert len(rep.utilities) >= 2
     assert len(subtractions) == len(queries)
-    # each utility exactly once, and besides them one difference per pair
-    assert [sum(a is u.values for a in clears) for u in rep.utilities] == [1] * len(rep.utilities)
-    assert len(clears) == len(queries) + len(rep.utilities)
+    # one difference per pair, and no utility
+    assert len(clears) == len(queries)
     # both membership calls and both rechecks take the cleared difference as it is
     assert raw_vectors == []
 

@@ -418,7 +418,7 @@ def test_indexed_adjacency_matches_the_scan():
         assert _matches_the_scan(14, rows), seed
     # hull-shaped rows, as canonical_rep inserts them for equal-reps: a utility set and both constant directions
     rep = extract_representation(moderate_dataset(8, 16), "z0")
-    hull = [primitive(u) for u in rep.cleared_utilities] + [(1,) * 8, (-1,) * 8]
+    hull = [*rep.utilities, (1,) * 8, (-1,) * 8]
     for seed in range(4):
         assert _matches_the_scan(8, hull), seed
         random.Random(seed).shuffle(hull)

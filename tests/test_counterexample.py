@@ -80,13 +80,11 @@ def test_build_counts_and_zero_sum():
 
 
 def test_range_validation():
-    for bad in (0, -1, 13, "3", 2.0):
+    for bad in (0, -1, 13, "3", 2.0, True, False):
         with pytest.raises(TruncationRangeError):
             build_truncation(bad)
-    with pytest.raises(TruncationRangeError):
-        lab_table(13)
-    with pytest.raises(TruncationRangeError):
-        lab_table(0)
+        with pytest.raises(TruncationRangeError):
+            lab_table(bad)
 
 
 def test_anchor_always_out():

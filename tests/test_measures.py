@@ -53,6 +53,19 @@ def test_measure_rejects_floats():
     assert m.dense() == (Fraction(1, 2), Fraction(1, 2))
 
 
+def test_measure_rejects_booleans():
+    # bool is a subclass of int, yet no exact input spells a rational that way
+    for build in (
+        lambda: as_fraction(True),
+        lambda: Utility(AB, [True, False]),
+        lambda: Measure(AB, {0: True}),
+        lambda: mix(True, lottery(AB, 1, 0), lottery(AB, 0, 1)),
+    ):
+        with pytest.raises(TypeError, match="refusing bool"):
+            build()
+    assert as_fraction(1) == 1 and Utility(AB, [1, 0]).values == (1, 0)
+
+
 # strings Fraction(str) accepts, or rejects only after the work: "1e10000000" took seconds there
 REJECTED_RATIONALS = {
     "decimal": "0.5",

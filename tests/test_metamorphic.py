@@ -167,5 +167,5 @@ def test_positive_affine_maps_keep_the_utility_set_unique():
         for u in rep.utilities:
             a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            mapped.append(Utility(dataset.space, [a * x + b for x in u.values]))
-        assert check_uniqueness(rep.utilities, mapped), dataset
+            mapped.append(Utility(dataset.space, [a * x + b for x in u]))
+        assert check_uniqueness([Utility(dataset.space, u) for u in rep.utilities], mapped), dataset

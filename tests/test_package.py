@@ -26,7 +26,6 @@ from multiutility import (
     PreferenceDataset,
     SpaceMismatchError,
     UnknownOutcomeError,
-    Utility,
     build_truncation,
     decompose,
     extract_representation,
@@ -115,7 +114,7 @@ RECORDS = {
     "Representation": (
         REP,
         "Representation(space=OutcomeSpace(['a', 'b', 'c']), "
-        "utilities=(Utility(['1', '0', '0']), Utility(['1', '1', '0'])), "
+        "utilities=((1, 0, 0), (1, 1, 0)), "
         "cone=PolyhedralCone(dim=3, rays=[(0, 1, -1), (1, -1, 0)], lineality=[]), "
         "dual=PolyhedralCone(dim=3, rays=[(0, -1, -1), (0, 0, -1)], lineality=[(1, 1, 1)]), pin='c')",
     ),
@@ -144,10 +143,3 @@ def test_validating_records_still_raise():
         MonotoneStructure(SPACE, (("a", "z"),))
     with pytest.raises(UnknownOutcomeError):
         MonotoneStructure(SPACE, ())._replace(pairs=(("z", "a"),))
-
-
-def test_replaced_representation_clears_its_own_utilities():
-    assert REP.cleared_utilities == ((1, 0, 0), (1, 1, 0))
-    halves = REP._replace(utilities=(Utility(SPACE, ["1/2", "1/3", 0]),))
-    assert halves.cleared_utilities == ((3, 2, 0),)
-    assert REP.cleared_utilities == ((1, 0, 0), (1, 1, 0))
