@@ -130,6 +130,9 @@ def inequality_chain(k0: int, b_size: int) -> Fraction:
     is strictly negative as soon as b exceeds k0 + 1, which is the arithmetic
     heart of the unbounded-growth argument.
     """
+    for name, x in (("k0", k0), ("b_size", b_size)):
+        if type(x) is not int:
+            raise TypeError(f"{name} must be an int, got {type(x).__name__} {x!r}")
     if b_size < 1:
         raise ValueError(f"subset size must be positive, got {b_size}")
     if k0 < 0:

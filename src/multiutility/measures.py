@@ -143,12 +143,15 @@ class OutcomeSpace:
 
 
 def _same_space(a: OutcomeSpace, b: OutcomeSpace) -> None:
-    if a != b:
+    if not (a is b or a == b):
         raise SpaceMismatchError(f"outcome spaces differ: {a!r} vs {b!r}")
 
 
 class Measure:
-    """Finite signed measure: sparse map index -> nonzero Fraction; arithmetic skips revalidation."""
+    """Finite signed measure: sparse map index -> nonzero Fraction; arithmetic skips revalidation.
+
+    A sum folds the right operand into a copy of the left's entries and drops only the entries that cancel.
+    """
 
     __slots__ = ("space", "entries")
 
@@ -207,8 +210,11 @@ class Measure:
         _same_space(self.space, other.space)
         merged = dict(self.entries)
         for i, v in other.entries.items():
-            merged[i] = merged[i] + v if i in merged else v
-        return _measure(self.space, {i: v for i, v in merged.items() if v})
+            if i in merged and not (v := merged[i] + v):
+                del merged[i]
+            else:
+                merged[i] = v
+        return _measure(self.space, merged)
 
     def __sub__(self, other: "Measure") -> "Measure":
         return self + -other

@@ -193,6 +193,10 @@ def test_inequality_chain_validation():
         inequality_chain(3, 0)
     with pytest.raises(ValueError):
         inequality_chain(-1, 3)
+    # only ints: a float, a boolean or a Fraction is refused, naming the argument
+    for k0, b_size, name in [(0.5, 2, "k0"), (1, 2.5, "b_size"), (True, True, "k0"), (Fraction(2), 3, "k0")]:
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            inequality_chain(k0, b_size)
 
 
 def test_lab_table_shape():

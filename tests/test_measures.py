@@ -112,6 +112,11 @@ def test_measure_arithmetic():
     assert x.total() == 0
     assert x.support() == ("a", "b", "c")
     assert Measure.zero(ABC).is_zero()
+    # a sum drops exactly the entries that cancel, which dense() would hide
+    assert (x + y).support() == ("a", "c")
+    assert (x + y).entries == {0: 1, 2: -1}
+    assert (x + -x).entries == {}
+    assert (x - x).is_zero()
 
 
 def test_measure_parts():
@@ -123,6 +128,12 @@ def test_measure_parts():
 def test_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         Measure.from_values(AB, [1, 0]) + Measure.from_values(ABC, [1, 0, 0])
+    # an equal but distinct space adds fine; one of the same length with other labels does not
+    twin = OutcomeSpace(["a", "b", "c"])
+    assert twin is not ABC
+    assert (Measure.from_values(ABC, [1, 0, 2]) + Measure.from_values(twin, [1, 1, -2])).dense() == (2, 1, 0)
+    with pytest.raises(SpaceMismatchError):
+        Measure.from_values(ABC, [1, 0, 0]) + Measure.from_values(OutcomeSpace(["a", "b", "d"]), [1, 0, 0])
     with pytest.raises(SpaceMismatchError):
         Measure.from_values(ABC, [1, 0])
     with pytest.raises(UnknownOutcomeError):
@@ -286,6 +297,12 @@ def random_signed(rng, space):
     )
 
 
+def random_sparse(rng, space):
+    # most entries zero, the rest drawn from few values so that sums often cancel
+    values = [1, -1, Fraction(1, 2), Fraction(-1, 2)]
+    return Measure.from_values(space, [rng.choice(values) if rng.random() < 0.4 else 0 for _ in space.outcomes])
+
+
 def assert_built_like_the_validating_constructor(m, space):
     # arithmetic skips revalidation, so its results must already be what Measure(...) would build
     rebuilt = Measure(space, m.entries)
@@ -298,8 +315,7 @@ def test_arithmetic_results_equal_validated_measures():
     rng = random.Random(19)
     space = OutcomeSpace(["a", "b", "c", "d"])
     for _ in range(200):
-        x = random_signed(rng, space) if rng.random() < 0.7 else random_lottery(rng, space)
-        y = random_signed(rng, space) if rng.random() < 0.7 else random_lottery(rng, space)
+        x, y = (rng.choice([random_signed, random_sparse, random_lottery])(rng, space) for _ in "xy")
         # a copy of x with some entries negated makes those entries cancel in x + z
         z = Measure(space, {i: -v if rng.random() < 0.5 else v for i, v in x.entries.items()})
         c = rng.choice([0, -1, 1, Fraction(rng.randint(-5, 5), rng.randint(1, 4)), "2/3"])
@@ -308,7 +324,12 @@ def test_arithmetic_results_equal_validated_measures():
         for m in results:
             assert_built_like_the_validating_constructor(m, space)
         assert (x - x).is_zero() and x.scale(0).is_zero()
-        assert (x + z).dense() == tuple(a + b for a, b in zip(x.dense(), z.dense()))
+        for a, b in [(x, y), (x, z), (y, x)]:
+            dense = tuple(p + q for p, q in zip(a.dense(), b.dense()))
+            assert (a + b).entries == {i: v for i, v in enumerate(dense) if v}
+            # the left operand's surviving keys keep their order, then the right's new keys follow
+            order = [i for i in a.entries if dense[i]] + [i for i in b.entries if i not in a.entries]
+            assert list((a + b).entries) == order
         assert x.scale(c).dense() == tuple(Fraction(c) * a for a in x.dense())
 
 
