@@ -6,8 +6,9 @@ description pass: rows are inserted incrementally starting from the full
 space, and adjacency of rays is decided by containment between the bitmasks
 of rows they lie on.  Each ray carries its values on the rows, and a combined
 ray combines its parents' values, so rays are paired with rows only once.
-The other direction needs no pass: the dual of {x : Hx >= 0} is cone(H),
-whose lineality and extreme rays ``dual_cone`` reads off the rays' zero sets.
+The other direction needs no pass: the dual of {x : Hx >= 0} is cone(H).  The
+check that a cone's rays satisfy its rows records which rays lie on each row,
+and ``dual_cone`` reads cone(H) off that record, taking no products itself.
 A hull of generators is read off the cone they cut out in the same way, so
 building a cone never runs an LP.
 An IN answer over independent generators is read off one elimination;
@@ -77,7 +78,7 @@ class PolyhedralCone:
     Instances are immutable, so every verdict depends only on the cone's value.
     """
 
-    __slots__ = ("dim", "rays", "lineality", "_inequalities")
+    __slots__ = ("dim", "rays", "lineality", "_inequalities", "_tight")
 
     def __init__(
         self,
@@ -101,8 +102,8 @@ class PolyhedralCone:
             for h in ineqs:
                 if len(h) != self.dim:
                     raise DimensionMismatchError(f"inequality {h} has wrong length for dim {self.dim}")
-            _cross_check(self.rays, self.lineality, ineqs)
         self._inequalities = ineqs
+        self._tight = None if ineqs is None else _cross_check(self.rays, self.lineality, ineqs)
 
     @property
     def directed_generators(self) -> tuple[IntVector, ...]:
@@ -137,15 +138,20 @@ def _int_vector(v: Iterable[int]) -> IntVector:
     return t
 
 
-def _cross_check(rays, lineality, ineqs) -> None:
-    # Both representations present: every generator must satisfy every row.
+def _cross_check(rays, lineality, ineqs) -> tuple[int, ...]:
+    # Every generator must satisfy every row; the same products give tight[i], the bitmask of rays on ineqs[i].
+    tight = []
     for h in ineqs:
-        for r in rays:
-            if dot(h, r) < 0:
+        t = 0
+        for j, r in enumerate(rays):
+            if (v := dot(h, r)) < 0:
                 raise ValueError(f"representations disagree: ray {r} violates row {h}")
+            t |= (not v) << j
         for l in lineality:
             if dot(h, l) != 0:
                 raise ValueError(f"representations disagree: lineality {l} not on row {h}")
+        tight.append(t)
+    return tuple(tight)
 
 
 def _coerce_vector(x: Sequence | Cleared, dim: int) -> Cleared:
@@ -357,18 +363,20 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """All y pairing nonnegatively with the cone; the cone's directed generators are its rows.
 
     A cone built with rows H is {x : Hx >= 0}, so its dual is cone(H), read
-    off the rays' zero sets with no double description: a row lies in the
+    off the rays on each row, as the cone's construction check recorded them,
+    with no double description and no product taken here: a row lies in the
     lineality when every ray lies on it, and spans an extreme ray when no
     other row outside the lineality lies on a strictly larger set of rays.
     The lineality becomes a reduced echelon basis and the extreme rays are
     reduced modulo it, made primitive and sorted.  A cone without rows goes
-    through :func:`cone_from_inequalities`.  The argument is left unchanged.
+    through :func:`cone_from_inequalities`, and anything but a cone raises
+    ``TypeError``.  The argument is left unchanged.
     """
-    rows = cone._inequalities
+    if not isinstance(cone, PolyhedralCone):
+        raise TypeError(f"dual_cone takes a PolyhedralCone, got {type(cone).__name__}")
+    rows, tight = cone._inequalities, cone._tight
     if rows is None:
         return cone_from_inequalities(cone.directed_generators, cone.dim)
-    # tight[i]: bitmask of the rays that lie on row i
-    tight = [sum(1 << j for j, r in enumerate(cone.rays) if not dot(h, r)) for h in rows]
     every = (1 << len(cone.rays)) - 1
     pointed = {t for t in tight if t != every}
     lineality = [h for h, t in zip(rows, tight) if t == every]

@@ -47,17 +47,23 @@ class _Statements(NamedTuple):
 
 
 class PreferenceDataset(_Statements):
-    """Finite list of revealed weak-preference statements (p over q).
+    """Finite list of revealed weak-preference statements (p over q), stored as a tuple of pairs.
 
-    Duplicates are allowed; they collapse once the difference vectors are
-    canonicalized inside the cone.
+    A statement that is not a pair raises ``ValueError``, a side that is not a
+    ``Lottery`` ``TypeError``.  Duplicates are allowed; they collapse once the
+    difference vectors are canonicalized inside the cone.
     """
 
     __slots__ = ()
 
-    def __new__(cls, space: OutcomeSpace, statements: tuple[tuple[Lottery, Lottery], ...]):
-        for p, q in statements:
-            if p.space != space or q.space != space:
+    def __new__(cls, space: OutcomeSpace, statements: Iterable[tuple[Lottery, Lottery]]):
+        statements = tuple(map(tuple, statements))
+        for s in statements:
+            if len(s) != 2:
+                raise ValueError(f"a statement is a pair (p, q), got {len(s)} items")
+            if not all(isinstance(x, Lottery) for x in s):
+                raise TypeError(f"statement sides must be Lottery, got {' and '.join(type(x).__name__ for x in s)}")
+            if any(x.space != space for x in s):
                 raise SpaceMismatchError("statement lotteries must live on the dataset space")
         return super().__new__(cls, space, statements)
 

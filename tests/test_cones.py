@@ -214,6 +214,13 @@ def test_cone_refuses_generators_that_break_its_rows():
         PolyhedralCone(2, lineality=[(1, 1)], inequalities=[(1, 0)])
 
 
+def test_the_check_guards_the_double_description(monkeypatch):
+    # a pass that returned a ray off the cone would reach the record unnoticed without the check
+    monkeypatch.setattr(cones, "_double_description", lambda dim, rows: ([], {(1, -1): 0}))
+    with pytest.raises(ValueError, match=r"^representations disagree: ray \(1, -1\) violates row \(0, 1\)$"):
+        cone_from_inequalities([(1, 0), (0, 1)], dim=2)
+
+
 def test_dot_refuses_vectors_of_unequal_length():
     with pytest.raises(ValueError, match=r"^cannot pair vectors of lengths 2 and 3$"):
         dot((1, 2), (1, 2, 3))
@@ -343,6 +350,24 @@ def test_dual_cone_leaves_its_argument_and_its_certificates_unchanged():
     rows = cone_from_inequalities([(1, 0), (0, 1)], dim=2)
     dual_cone(rows)
     assert rows._inequalities == ((1, 0), (0, 1))
+
+
+def test_dual_cone_refuses_what_is_not_a_cone():
+    with pytest.raises(TypeError, match=r"^dual_cone takes a PolyhedralCone, got list$"):
+        dual_cone([1, 2])
+
+
+def test_dual_cone_takes_no_product_beyond_its_results_check(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return dot(a, b)
+
+    c = cone_from_inequalities([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], dim=4)
+    monkeypatch.setattr(cones, "dot", counted)
+    d = dual_cone(c)
+    assert len(calls) == len(d._inequalities) * (len(d.rays) + len(d.lineality)) == 16
 
 
 def test_certificate_error_is_not_a_value_error():
@@ -556,6 +581,9 @@ def test_dual_read_off_the_rows_equals_the_double_description_dual(monkeypatch):
         read = dual_cone(c)
         assert len(calls) == passes
         assert (read, read._inequalities) == (via_dd, via_dd._inequalities), (dim, rows)
+        for cone in (c, read):
+            scan = tuple(sum(1 << j for j, r in enumerate(cone.rays) if not dot(h, r)) for h in cone._inequalities)
+            assert cone._tight == scan, (dim, rows)
 
 
 def _hull_columns(rng, dim):

@@ -273,6 +273,18 @@ def random_dataset(rng, space, max_statements):
     return PreferenceDataset(space, pairs)
 
 
+def test_dataset_checks_its_statements_on_entry():
+    p, q = point(ABC, "a"), point(ABC, "b")
+    d = PreferenceDataset(ABC, [(p, q)])
+    assert d.statements == ((p, q),) and type(d.statements[0]) is tuple
+    assert hash(d) == hash(PreferenceDataset(ABC, ((p, q),)))
+    with pytest.raises(ValueError, match=r"^a statement is a pair \(p, q\), got 3 items$"):
+        PreferenceDataset(ABC, ((p, q, q),))
+    # a signed difference would drop the constant direction from the dual's lineality
+    with pytest.raises(TypeError, match=r"^statement sides must be Lottery, got Measure and Lottery$"):
+        PreferenceDataset(ABC, ((p - q, q),))
+
+
 def test_representation_cone_rows_are_the_dual_generators():
     rep = extract_representation(chain_dataset(), pin="c")
     rows = rep.cone._inequalities
